@@ -219,9 +219,9 @@ class _ReinforceSharder:
                 device_tables[action].append(table)
                 device_bytes[action] += t_bytes
                 device_dims[action] += table.dim
-                device_costs[action] = simulator.device_compute_cost(
-                    device_tables[action]
-                )
+                device_costs[action] = simulator.device_compute_costs(
+                    [device_tables[action]]
+                )[0]
                 assignment[ti] = action
 
             if failed:

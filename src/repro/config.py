@@ -82,11 +82,6 @@ class SearchConfig:
         use_grid_search: disable to reproduce "w/o greedy grid search"
             (the max-dimension constraint is dropped; pure greedy).
         use_cache: disable to reproduce "w/o caching".
-        use_batch_scoring: score whole grid passes / beam frontiers as
-            one batched NumPy forward pass (bit-identical results);
-            disable to fall back to per-candidate sequential scoring
-            (the "w/o batch scoring" ablation, also the route for cost
-            models whose featurizer lacks the feature bank).
     """
 
     top_n: int = 10
@@ -97,7 +92,6 @@ class SearchConfig:
     use_beam_search: bool = True
     use_grid_search: bool = True
     use_cache: bool = True
-    use_batch_scoring: bool = True
 
     def __post_init__(self) -> None:
         if self.top_n < 1:
@@ -126,6 +120,10 @@ class SearchConfig:
         ``__post_init__`` either way, so an out-of-range knob arriving
         from JSON fails as loudly as one passed to the constructor.
         """
+        # The retired ``use_batch_scoring`` knob (batched scoring is the
+        # only search route) is dropped, so tuned profiles and deployment
+        # metadata saved while it existed still load.
+        data = {k: v for k, v in data.items() if k != "use_batch_scoring"}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -133,7 +131,7 @@ class SearchConfig:
                 f"unknown SearchConfig knobs {unknown}; "
                 f"expected a subset of {sorted(known)}"
             )
-        return cls(**dict(data))
+        return cls(**data)
 
     @classmethod
     def coerce(cls, value: "SearchConfig | Mapping[str, Any]") -> "SearchConfig":
@@ -161,11 +159,9 @@ class SearchConfig:
             return replace(self, use_grid_search=False)
         if name == "caching":
             return replace(self, use_cache=False)
-        if name == "batch_scoring":
-            return replace(self, use_batch_scoring=False)
         raise ValueError(
             f"unknown ablation {name!r}; expected one of "
-            "'beam_search', 'grid_search', 'caching', 'batch_scoring'"
+            "'beam_search', 'grid_search', 'caching'"
         )
 
 

@@ -16,32 +16,31 @@ most promising candidates:
   plan (no splits) is evaluated first, so zero splits is always an
   option.
 
+**Frontier batching.**  All expansions of a beam iteration are
+evaluated as one frontier: their grid searches run in lockstep
+(:mod:`repro.core.greedy_grid`) and every step of the frontier scores in
+a single flat ``predict_rows`` call.
+
 **Plan memoization.**  Beam expansions are dominated by
 permutation-duplicate plans: with beam width ``K`` and overlapping
 candidate sets, different split orders routinely produce the *same
 multiset of shards*, and the inner loop's outcome depends only on that
-multiset.  ``evaluate`` therefore memoizes on the canonical key of the
-resulting table list (its sorted uid multiset — NOT the column-plan
-index sequence, whose permutations can legally produce different shard
-multisets), and serves hits by remapping the stored assignment across
-uid-equal tables (cost-identical by construction of
+multiset.  ``evaluate_frontier`` therefore memoizes on the canonical key
+of the resulting table list (its sorted uid multiset — NOT the
+column-plan index sequence, whose permutations can legally produce
+different shard multisets), and serves hits by remapping the stored
+assignment across uid-equal tables (cost-identical by construction of
 :attr:`~repro.data.table.TableConfig.uid`).  A hit for a *permuted*
 ordering is only served when the greedy visit sequence matches the
 memoized one — distinct uids with bit-equal predicted costs (possible
 via the prediction floor) would otherwise tie-break differently — so
-memoized results are bit-identical to re-evaluation; the search
-trajectory — beam contents, tie-breaking, best plan — is unchanged, only
-the redundant grid searches disappear.  The memo is disabled alongside
-``use_cache`` so the "w/o caching" ablation measures a genuinely
-memo-free search.
-
-**Frontier batching** (``use_batch_scoring``, the default).  All
-expansions of a beam iteration are evaluated as one frontier: their
-grid searches run in lockstep (:mod:`repro.core.greedy_grid`), every
-step of the frontier scores in a single flat ``predict_rows`` call, and
-the plan-memo decisions (serve / remap / fall-through / store) are made
-up front in the sequential visit order, so memo semantics — and
-therefore the search trajectory — are unchanged bit for bit.
+memoized results are bit-identical to re-evaluation.  The memo
+decisions (serve / remap / fall-through / store) are made up front in
+expansion order, so the search trajectory — beam contents,
+tie-breaking, best plan — equals evaluating one expansion at a time;
+only the redundant grid searches disappear.  The memo is disabled
+alongside ``use_cache`` so the "w/o caching" ablation measures a
+genuinely memo-free search.
 
 With ``use_beam_search`` disabled only the empty plan is evaluated —
 Table 3's "w/o beam search" ablation, which loses memory feasibility on
@@ -62,7 +61,6 @@ from repro.core.greedy_grid import (
     GridSearchResult,
     _drive_grid_instances,
     _GridInstance,
-    greedy_grid_search,
 )
 from repro.core.plan import ShardingPlan, apply_column_plan
 from repro.core.simulator import NeuroShardSimulator
@@ -175,68 +173,23 @@ def beam_search(
         order = np.argsort(-singles, kind="stable")
         return tuple(uids[i] for i in order)
 
-    def evaluate(column_plan: tuple[int, ...]) -> GridSearchResult:
-        nonlocal evaluations
-        evaluations += 1
-        with maybe_stage(profile, "evaluate"):
-            sharded = apply_column_plan(base_tables, column_plan)
-            if not memo_enabled:
-                if profile is not None:
-                    profile.count("unique_evaluations")
-                return greedy_grid_search(
-                    sharded, num_devices, simulator, memory, config,
-                    profile=profile,
-                )
-            uids = tuple(t.uid for t in sharded)
-            key = tuple(sorted(uids))
-            hit = plan_memo.get(key)
-            if hit is not None:
-                result, ref_uids, ref_visit = hit
-                if ref_uids == uids:
-                    if profile is not None:
-                        profile.count("plan_memo_hits")
-                    return result
-                # A permuted ordering replays the memoized trajectory
-                # only when the allocator would visit the same uid
-                # sequence.  Distinct uids with bit-equal predicted
-                # costs (e.g. both clamped to the prediction floor) can
-                # break that — then stable-argsort tie-breaking depends
-                # on list positions, so fall through and re-evaluate.
-                if visit_sequence(sharded, uids) == ref_visit:
-                    if profile is not None:
-                        profile.count("plan_memo_hits")
-                    if not result.feasible:
-                        return result
-                    return _remap_assignment(result, ref_uids, uids)
-            result = greedy_grid_search(
-                sharded, num_devices, simulator, memory, config,
-                profile=profile,
-            )
-            if hit is None:
-                plan_memo[key] = (result, uids, visit_sequence(sharded, uids))
-            if profile is not None:
-                profile.count("unique_evaluations")
-            return result
-
-    batch_mode = config.use_batch_scoring and simulator.supports_batch_scoring()
-
     def evaluate_frontier(
         plans: Sequence[tuple[int, ...]],
     ) -> list[GridSearchResult]:
-        """Batched ``evaluate`` over a whole beam frontier.
+        """Evaluate a whole beam frontier with the inner loop.
 
         Every expansion that must actually run becomes a
         :class:`~repro.core.greedy_grid._GridInstance` and the whole
         frontier is driven in lockstep — one merged scoring batch per
         greedy step across all expansions and all their grid passes.
 
-        The plan-memo decisions ``evaluate`` makes sequentially (serve /
-        remap / fall-through / store) depend only on uid multisets and
-        visit sequences, all known before any result exists, so they are
-        mirrored up front: a later expansion whose key matches an
-        earlier *pending* one is served that instance's result after the
-        drive, exactly as the sequential loop — where the earlier
-        expansion would already have been memoized — would serve it.
+        The plan-memo decisions (serve / remap / fall-through / store)
+        depend only on uid multisets and visit sequences, all known
+        before any result exists, so they are made up front in expansion
+        order: a later expansion whose key matches an earlier *pending*
+        one is served that instance's result after the drive, exactly as
+        a one-at-a-time loop — where the earlier expansion would already
+        have been memoized — would serve it.
         """
         nonlocal evaluations
         with maybe_stage(profile, "evaluate"):
@@ -289,15 +242,16 @@ def beam_search(
                             )
                         )
                         continue
-                    # Visit-sequence mismatch: re-evaluate, and (like the
-                    # sequential path, where ``hit`` is non-None) do not
-                    # overwrite the stored entry.
+                    # Visit-sequence mismatch: distinct uids with
+                    # bit-equal predicted costs (e.g. both clamped to the
+                    # prediction floor) tie-break on list position, so
+                    # re-evaluate — without overwriting the stored entry.
                     spawn(sharded)
                     continue
                 pending = pending_by_key.get(key)
                 if pending is not None:
                     # An earlier expansion of this frontier owns the key;
-                    # sequentially it would already be memoized by now.
+                    # one at a time it would already be memoized by now.
                     idx, ref_uids, ref_visit = pending
                     if ref_uids == uids:
                         if profile is not None:
@@ -348,7 +302,7 @@ def beam_search(
     best_plan: tuple[int, ...] | None = None
     best_inner: GridSearchResult = GridSearchResult.infeasible()
 
-    empty_result = evaluate_frontier([()])[0] if batch_mode else evaluate(())
+    empty_result = evaluate_frontier([()])[0]
     if empty_result.feasible:
         best_plan = ()
         best_inner = empty_result
@@ -373,10 +327,7 @@ def beam_search(
                 expansions.extend(plan + (index,) for index in indices)
             if not expansions:
                 break
-            if batch_mode:
-                results = evaluate_frontier(expansions)
-            else:
-                results = [evaluate(new_plan) for new_plan in expansions]
+            results = evaluate_frontier(expansions)
             scored: list[tuple[tuple[int, ...], tuple[float, float]]] = []
             for new_plan, result in zip(expansions, results):
                 scored.append((new_plan, result.beam_key))

@@ -18,36 +18,26 @@ bounds the max device dimension, which controls the communication
 bottleneck, while the greedy objective balances the non-linear
 computation costs (Observation 2).
 
-**Incremental hot loop.**  The greedy allocator is the innermost layer of
-the whole search (``O(L K N M T D)`` candidate evaluations), so it keeps
-*running per-device state* instead of recomputing from scratch:
-
-- table uids, feature rows, byte sizes and dimensions are materialized
-  once per grid search and shared across all ``M`` grid passes;
-- each device carries an incrementally-maintained sorted uid list, so a
-  candidate's canonical cache key is one binary-search splice
-  (:func:`~repro.data.table.extend_table_set_key`) instead of an
-  ``O(n log n)`` re-sort over re-materialized uids;
-- each device carries its feature rows in placement order, so a cache
-  miss stacks cached row references instead of re-featurizing the set;
-- all uncached candidates of a step are scored in one stacked
-  ``predict_many`` call (:meth:`~repro.core.simulator.NeuroShardSimulator
-  .device_compute_costs_keyed`).
-
-**Batched lockstep scoring** (``use_batch_scoring``, the default).  The
-grid's ``M`` passes are run as *trajectory groups* in lockstep: all grid
+**Batched lockstep scoring.**  The greedy allocator is the innermost
+layer of the whole search (``O(L K N M T D)`` candidate evaluations).
+The grid's ``M`` passes run as *trajectory groups* in lockstep: all grid
 points start as one group (identical empty history), each step scores
 the union of the group's candidate devices in a single flat
 ``predict_rows`` gather+forward
 (:meth:`~repro.core.simulator.NeuroShardSimulator
 .device_compute_costs_batch`), and a group splits only when members
-choose different devices — so identical trajectories are scored once
-(which subsumes the sequential path's redundant-grid-point early
-break).  Device state is held as integer row ids into the featurizer's
-preallocated feature bank; surviving assignments are finalized with one
-batched plan-cost call.  With the cache ablated every grid point is its
-own group scoring exactly its own mask — the "w/o caching" ablation
-keeps its honest prediction volume.
+choose different devices — so identical trajectories are scored once,
+and a grid whose ``max_dim`` bound never bites collapses to a single
+pass.  Per-table uids, bank row ids, byte sizes and dimensions are
+materialized once per grid search; each device carries an
+incrementally-maintained sorted uid list, so a candidate's canonical
+cache key is one binary-search splice
+(:func:`~repro.data.table.extend_table_set_key`), and its feature-bank
+row ids in placement order.  Surviving assignments are finalized with
+one batched plan-cost call.  With the cache ablated every grid point is
+its own group scoring exactly its own mask, and each assignment is
+finalized through ``plan_cost`` — the "w/o caching" ablation keeps its
+honest prediction volume.
 
 The results are bit-identical to the recompute-from-scratch reference
 (:mod:`repro.core.reference`): same keys, same tie-breaking, and —
@@ -127,96 +117,6 @@ class GridSearchResult:
 
 
 @dataclass
-class _GreedyPass:
-    """Outcome of one greedy pass, carrying its incremental device state.
-
-    ``assignment`` is ``None`` when some table had no candidate device.
-    ``dim_bound_hit`` records whether the ``max_dim`` constraint ever
-    excluded a device: when it never did, any pass with a *larger*
-    ``max_dim`` is guaranteed to replay the identical trajectory (same
-    candidate sets at every step, by induction), so the caller can skip
-    the rest of the grid outright.
-    """
-
-    assignment: tuple[int, ...] | None
-    device_keys: list[list[str]]
-    device_rows: list[list[np.ndarray]]
-    device_dims: list[int]
-    dim_bound_hit: bool
-
-
-def _greedy_assign(
-    order: np.ndarray,
-    num_devices: int,
-    simulator: NeuroShardSimulator,
-    memory_bytes: int,
-    max_dim: float,
-    uids: Sequence[str],
-    rows: Sequence[np.ndarray],
-    table_bytes: Sequence[int],
-    dims: Sequence[int],
-    profile: SearchProfile | None = None,
-) -> _GreedyPass:
-    """One greedy pass under a ``max_dim`` constraint.
-
-    Operates on pre-materialized per-table state (``uids``, feature
-    ``rows``, ``table_bytes``, ``dims`` — computed once per grid search)
-    and maintains incremental per-device state, so scoring a candidate
-    device costs one key splice and one cache lookup.
-    """
-    device_keys: list[list[str]] = [[] for _ in range(num_devices)]
-    device_rows: list[list[np.ndarray]] = [[] for _ in range(num_devices)]
-    device_bytes = [0] * num_devices
-    device_dims = [0] * num_devices
-    assignment: list[int] | None = [0] * len(uids)
-    dim_bound_hit = False
-    steps = 0
-    scored = 0
-
-    for ti in order:
-        steps += 1
-        t_bytes = table_bytes[ti]
-        t_dim = dims[ti]
-        candidates = []
-        for d in range(num_devices):
-            if device_bytes[d] + t_bytes > memory_bytes:
-                continue
-            if device_dims[d] + t_dim > max_dim:
-                dim_bound_hit = True
-                continue
-            candidates.append(d)
-        if not candidates:
-            assignment = None
-            break
-        uid = uids[ti]
-        row = rows[ti]
-        # Cheapest resulting device per the computation cost model; the
-        # keyed batch call predicts all uncached candidate sets at once.
-        entries = [
-            (extend_table_set_key(device_keys[d], uid), device_rows[d], row)
-            for d in candidates
-        ]
-        costs = simulator.device_compute_costs_keyed(entries)
-        scored += len(candidates)
-        best = candidates[min(range(len(costs)), key=costs.__getitem__)]
-        insort_uid(device_keys[best], uid)
-        device_rows[best].append(row)
-        device_bytes[best] += t_bytes
-        device_dims[best] += t_dim
-        assignment[ti] = best
-    if profile is not None:
-        profile.count("greedy_steps", steps)
-        profile.count("scored_candidates", scored)
-    return _GreedyPass(
-        assignment=None if assignment is None else tuple(assignment),
-        device_keys=device_keys,
-        device_rows=device_rows,
-        device_dims=device_dims,
-        dim_bound_hit=dim_bound_hit,
-    )
-
-
-@dataclass
 class _PassGroup:
     """One shared greedy trajectory in the lockstep batched search.
 
@@ -280,11 +180,11 @@ class _GridInstance:
     With the cost cache enabled all grid points start as one trajectory
     group (their histories are trivially identical) and only split when
     their ``max_dim`` thresholds force different device choices — the
-    grouping subsumes the sequential path's ``dim_bound_hit`` early
-    break, because a never-splitting grid collapses to one trajectory.
-    With the cache disabled every grid point runs as its own group and
-    scores exactly its own candidate mask, so the "w/o caching" ablation
-    performs the same prediction volume as the sequential ablation.
+    grouping makes redundant larger grid points free, because a
+    never-splitting grid collapses to one trajectory.  With the cache
+    disabled every grid point runs as its own group and scores exactly
+    its own candidate mask, so the "w/o caching" ablation performs the
+    same prediction volume as one pass per grid point.
     """
 
     __slots__ = (
@@ -338,8 +238,9 @@ class _GridInstance:
             grid.append(math.inf)  # unconstrained fallback, tried last
         else:
             grid = [math.inf]
-        # Runnable grid points only (same early skip as the sequential
-        # path); the ∞ fallback is always runnable, so this never empties.
+        # Runnable grid points only (a grid point below the widest table
+        # cannot place it); the ∞ fallback is always runnable, so this
+        # never empties.
         self.grid = [
             g for g in grid if not (math.isfinite(g) and max_table_dim > g)
         ]
@@ -365,11 +266,11 @@ class _GridInstance:
         return bool(self.groups) and self.step < self.num_steps
 
     def result(self, profile: SearchProfile | None = None) -> GridSearchResult:
-        """Fold the finalized groups back into the sequential result.
+        """Fold the finalized groups back into one grid-search result.
 
-        Replays the grid in order with the sequential strict-``<``
-        update, so ties resolve to the earliest grid point exactly as
-        the one-pass-at-a-time loop would.
+        Replays the grid in order with a strict-``<`` update, so ties
+        resolve to the earliest grid point exactly as a
+        one-pass-at-a-time loop would.
         """
         if profile is not None:
             profile.count("grid_pass_groups", len(self.groups))
@@ -442,8 +343,7 @@ def _advance_instances(
                     alive.append(m)
                     masks.append(mask)
                 # An empty mask means this grid point's pass just failed
-                # (no candidate device) — exactly the sequential
-                # ``assignment = None`` break; the member is dropped.
+                # (no candidate device); the member is dropped.
             group.members = alive
             if not alive:
                 continue
@@ -472,8 +372,7 @@ def _advance_instances(
             best = best_by_mask.get(mask)
             if best is None:
                 # First-min tie-break over the member's own candidates in
-                # ascending device order — identical to the sequential
-                # ``min(range(len(costs)), key=costs.__getitem__)``.
+                # ascending device order, like ``np.argmin``.
                 best = mask[
                     min(range(len(mask)), key=lambda k: costs[slot[mask[k]]])
                 ]
@@ -540,7 +439,7 @@ def _drive_grid_instances(
                 ):
                     group.breakdown = breakdown
         else:
-            # The "w/o caching" ablation mirrors the sequential fallback:
+            # The "w/o caching" ablation has no placement memo:
             # per-device table lists rebuilt in table input order and
             # scored via plan_cost, one placement at a time.
             for inst in instances:
@@ -567,103 +466,13 @@ def greedy_grid_search(
 
     With ``config.use_grid_search`` disabled, a single unconstrained
     greedy pass runs instead (the "w/o greedy grid search" ablation).
-
-    With ``config.use_batch_scoring`` (the default, when the featurizer
-    exposes the feature bank) all grid passes run in lockstep and every
-    step's candidates across all passes are scored in one batched
-    forward pass; results are bit-identical to the sequential route.
+    All grid passes run in lockstep and every step's candidates across
+    all passes are scored in one batched forward pass.
     """
     config = config or SearchConfig()
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
     if len(tables) == 0:
         raise ValueError("cannot shard an empty table list")
-
-    if config.use_batch_scoring and simulator.supports_batch_scoring():
-        instance = _GridInstance(
-            tables, num_devices, simulator, memory, config, profile
-        )
-        return _drive_grid_instances([instance], simulator, profile=profile)[0]
-
-    singles = simulator.single_table_costs(tables)
-    order = np.argsort(-singles, kind="stable")
-
-    # Per-table state shared by every grid pass: uids, cached feature
-    # rows, memory footprints and dimensions are materialized exactly
-    # once per grid search instead of per candidate evaluation.
-    uids = [t.uid for t in tables]
-    rows = simulator.featurizer.features_rows(tables)
-    table_bytes = [memory.table_bytes(t) for t in tables]
-    dims = [t.dim for t in tables]
-    max_table_dim = max(dims)
-
-    # How far this table list is from being placeable at all: tables
-    # larger than one device can never fit, however they are assigned.
-    overflow = float(
-        sum(max(0, b - memory.memory_bytes) for b in table_bytes)
-    )
-
-    if config.use_grid_search:
-        avg_dim = sum(dims) / num_devices
-        ms = max(avg_dim, 1.0)
-        me = config.grid_end_factor * ms
-        if config.grid_points == 1:
-            grid: list[float] = [ms]
-        else:
-            grid = list(np.linspace(ms, me, config.grid_points))
-        grid.append(math.inf)  # unconstrained fallback, tried last
-    else:
-        grid = [math.inf]
-
-    best = GridSearchResult.infeasible(overflow)
-    for grid_index, max_dim in enumerate(grid):
-        if math.isfinite(max_dim) and max_table_dim > max_dim:
-            continue  # no single table could be placed; skip early
-        with maybe_stage(profile, "greedy_assign"):
-            if profile is not None:
-                profile.count("grid_passes")
-            gpass = _greedy_assign(
-                order,
-                num_devices,
-                simulator,
-                memory.memory_bytes,
-                max_dim,
-                uids,
-                rows,
-                table_bytes,
-                dims,
-                profile=profile,
-            )
-        if gpass.assignment is not None:
-            with maybe_stage(profile, "plan_cost"):
-                if simulator.cache.enabled:
-                    # Reuse the pass's incremental device state; repeated
-                    # placements (adjacent grid points frequently produce
-                    # the same assignment) are memo-served.
-                    breakdown = simulator.plan_cost_keyed(
-                        gpass.device_keys, gpass.device_rows, gpass.device_dims
-                    )
-                else:
-                    per_device: list[list[TableConfig]] = [
-                        [] for _ in range(num_devices)
-                    ]
-                    for ti, d in enumerate(gpass.assignment):
-                        per_device[d].append(tables[ti])
-                    breakdown = simulator.plan_cost(per_device)
-            cost = breakdown.max_cost_ms
-            if cost < best.cost_ms:
-                best = GridSearchResult(
-                    feasible=True,
-                    cost_ms=cost,
-                    assignment=gpass.assignment,
-                    max_dim_used=None if math.isinf(max_dim) else float(max_dim),
-                    breakdown=breakdown,
-                )
-        if not gpass.dim_bound_hit:
-            # The dimension bound never excluded a device, so every
-            # remaining (larger) grid point — the ∞ fallback included —
-            # would replay this exact trajectory.  Skip it.
-            if profile is not None:
-                profile.count("grid_passes_skipped", len(grid) - 1 - grid_index)
-            break
-    return best
+    instance = _GridInstance(tables, num_devices, simulator, memory, config, profile)
+    return _drive_grid_instances([instance], simulator, profile=profile)[0]

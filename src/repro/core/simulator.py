@@ -13,21 +13,20 @@ skews collective starts), so the simulator feeds the predicted compute
 costs as the start times of both collectives.
 
 All computation-cost predictions flow through the
-:class:`~repro.core.cache.CostCache`; batch lookups collect the uncached
-device sets and predict them in one forward pass.
+:class:`~repro.core.cache.CostCache`.  The simulator has two set-scoring
+entry points — :meth:`NeuroShardSimulator.device_compute_costs` (table
+lists) and :meth:`NeuroShardSimulator.device_compute_costs_batch`
+(feature-bank row ids, the search's lockstep route) — and two
+plan-scoring entry points — :meth:`NeuroShardSimulator.plan_cost` and
+:meth:`NeuroShardSimulator.plan_costs_keyed_batch`.  Each pair shares
+one prediction tail: cache misses are gathered from the featurizer bank
+and predicted in one ``predict_rows`` forward pass, and placements get
+their communication costs from one batched ``predict_batch`` per
+direction, so every entry point returns bit-identical values.
 
-Two fast paths serve the search hot loop:
-
-- :meth:`NeuroShardSimulator.device_compute_costs_keyed` takes
-  *pre-built* canonical keys and per-table feature-row lists, so the
-  greedy allocator's incrementally-maintained device state skips the
-  per-candidate key re-sort and re-featurization entirely;
-- :meth:`NeuroShardSimulator.single_table_costs` memoizes per table
-  ``uid`` for the simulator's lifetime (one search request), so the beam
-  search's repeated candidate rankings cost one dict lookup per table.
-
-Both paths return bit-identical values to the general
-:meth:`NeuroShardSimulator.device_compute_costs` route.
+:meth:`NeuroShardSimulator.single_table_costs` memoizes per table
+``uid`` for the simulator's lifetime, so the beam search's repeated
+candidate rankings cost one dict lookup per table.
 """
 
 from __future__ import annotations
@@ -89,9 +88,13 @@ class NeuroShardSimulator:
         self.models = models
         self.cache = cache if cache is not None else CostCache()
         self.profile = profile
-        # Per-simulator (i.e. per-search-request) memo layers.  Both are
-        # disabled alongside the cost cache so the "w/o caching" ablation
-        # measures a genuinely memo-free search.
+        # Memo layers that live as long as this simulator, outside the
+        # cost cache's ``max_entries`` bound.  Sharders build one
+        # simulator per search request, but ``ShardingEngine`` holds one
+        # for its whole lifetime (plan scoring and reshard), so reshard's
+        # ``single_table_costs`` uid memo lives as long as the engine.
+        # Both are disabled alongside the cost cache so the "w/o caching"
+        # ablation measures a genuinely memo-free search.
         self._single_cost_by_uid: dict[str, float] = {}
         self._plan_cost_by_key: dict[
             tuple[tuple[str, ...], ...], PlanCost
@@ -110,17 +113,19 @@ class NeuroShardSimulator:
     # computation-cost prediction (cached)
     # ------------------------------------------------------------------
 
-    def device_compute_cost(self, tables: Sequence[TableConfig]) -> float:
-        """Predicted fused-kernel cost of one device's table set."""
-        return self.device_compute_costs([tables])[0]
-
     def device_compute_costs(
         self, table_sets: Sequence[Sequence[TableConfig]]
     ) -> list[float]:
-        """Batched, cached prediction over several device table sets."""
+        """Batched, cached prediction over several device table sets.
+
+        Every set is looked up on its own, so a set repeated inside one
+        call counts one miss per occurrence (no in-call dedupe, unlike
+        :meth:`device_compute_costs_batch`).  Bank row ids are built for
+        the misses only.
+        """
         costs: list[float | None] = []
         missing_indices: list[int] = []
-        missing_keys = []
+        missing_keys: list[tuple[str, ...]] = []
         for i, tables in enumerate(table_sets):
             if len(tables) == 0:
                 costs.append(0.0)
@@ -132,93 +137,16 @@ class NeuroShardSimulator:
                 missing_indices.append(i)
                 missing_keys.append(key)
         if missing_indices:
-            matrices = [
-                self.models.featurizer.features_matrix(list(table_sets[i]))
-                for i in missing_indices
-            ]
-            self._predict_missing(costs, missing_indices, missing_keys, matrices)
+            row_indices = self.featurizer.row_indices
+            ids = [row_indices(table_sets[i]) for i in missing_indices]
+            self._predict_missing(
+                costs,
+                missing_indices,
+                missing_keys,
+                np.concatenate(ids),
+                [len(a) for a in ids],
+            )
         return [float(c) for c in costs]  # type: ignore[arg-type]
-
-    def device_compute_costs_keyed(
-        self,
-        entries: Sequence[
-            tuple[
-                tuple[str, ...],
-                Sequence[np.ndarray],
-                np.ndarray | None,
-            ]
-        ],
-    ) -> list[float]:
-        """Cached predictions from pre-built keys and feature rows.
-
-        Args:
-            entries: per candidate set, a triple of
-
-                - its canonical :func:`~repro.data.table.table_set_key`
-                  (maintained incrementally by the caller),
-                - the device's existing per-table feature rows *in
-                  placement order* (the order tables were added), and
-                - optionally one more feature row, logically appended —
-                  the candidate table being scored.  Passing it
-                  separately lets the greedy allocator score ``base +
-                  table`` without copying the base list per candidate.
-
-        The row order matches what :meth:`device_compute_costs` would
-        have stacked for the same set, so predictions are bit-identical.
-        This is the greedy allocator's fast path: no key sorting, no uid
-        materialization, no featurization — only cache lookups plus one
-        flat-stacked forward pass over the misses.
-        """
-        costs: list[float | None] = []
-        missing_indices: list[int] = []
-        missing_keys: list[tuple[str, ...]] = []
-        for i, (key, base_rows, extra_row) in enumerate(entries):
-            if not base_rows and extra_row is None:
-                costs.append(0.0)
-                continue
-            cached = self.cache.get(key)
-            costs.append(cached)
-            if cached is None:
-                missing_indices.append(i)
-                missing_keys.append(key)
-        if missing_indices:
-            # One flat row matrix for all misses: concatenating the 1-D
-            # rows and reshaping equals the row-wise concatenation of
-            # the per-set np.stack matrices, so predictions are
-            # bit-identical to the general matrix route — without
-            # per-set stacking.
-            flat_rows: list[np.ndarray] = []
-            lengths: list[int] = []
-            for i in missing_indices:
-                _, base_rows, extra_row = entries[i]
-                flat_rows.extend(base_rows)
-                n = len(base_rows)
-                if extra_row is not None:
-                    flat_rows.append(extra_row)
-                    n += 1
-                lengths.append(n)
-            num_features = flat_rows[0].shape[-1]
-            rows_matrix = np.concatenate(flat_rows).reshape(-1, num_features)
-            segments = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-            predictions = self.models.compute.predict_rows(
-                rows_matrix, segments, len(lengths)
-            )
-            self._store_predictions(
-                costs, missing_indices, missing_keys, predictions
-            )
-        return costs  # type: ignore[return-value]
-
-    def supports_batch_scoring(self) -> bool:
-        """Whether the bundle's featurizer exposes the feature bank.
-
-        The batched scoring path gathers candidate matrices straight
-        from :class:`~repro.costmodel.features.TableFeaturizer`'s
-        preallocated bank by integer row id; featurizers without that
-        API (e.g. the feature-ablation wrapper) fall back to the
-        sequential per-candidate route.
-        """
-        featurizer = self.models.featurizer
-        return hasattr(featurizer, "row_indices") and hasattr(featurizer, "gather")
 
     def device_compute_costs_batch(
         self,
@@ -242,12 +170,12 @@ class NeuroShardSimulator:
                   candidate table being scored.
 
         Duplicate missing keys inside one call are predicted once and
-        fanned out (recorded as external cache hits — the sequential
-        route would have cache-served the repeats); with the cache
-        disabled every entry is predicted, keeping the "w/o caching"
-        ablation honest about its prediction volume.  Values are
-        bit-identical to the sequential keyed route: same placement-order
-        rows, same chunk-stable kernel.
+        fanned out (recorded as external cache hits — scoring the
+        candidates one at a time would have cache-served the repeats);
+        with the cache disabled every entry is predicted, keeping the
+        "w/o caching" ablation honest about its prediction volume.
+        Values are bit-identical to :meth:`device_compute_costs`: same
+        miss tail, same chunk-stable kernel.
         """
         costs: list[float | None] = []
         missing_indices: list[int] = []
@@ -284,17 +212,8 @@ class NeuroShardSimulator:
                     flat_ids.append(extra_id)
                     n += 1
                 lengths.append(n)
-            rows_matrix = self.models.featurizer.gather(
-                np.asarray(flat_ids, dtype=np.intp)
-            )
-            segments = np.repeat(
-                np.arange(len(lengths), dtype=np.int64), lengths
-            )
-            predictions = self.models.compute.predict_rows(
-                rows_matrix, segments, len(lengths)
-            )
-            self._store_predictions(
-                costs, missing_indices, missing_keys, predictions
+            self._predict_missing(
+                costs, missing_indices, missing_keys, flat_ids, lengths
             )
             if self.profile is not None:
                 self.profile.observe("predict_rows_per_batch", len(flat_ids))
@@ -310,24 +229,25 @@ class NeuroShardSimulator:
     def _predict_missing(
         self,
         costs: list[float | None],
-        missing_indices: list[int],
+        missing_indices: Sequence[int],
         missing_keys: Sequence[tuple[str, ...]],
-        matrices: Sequence[np.ndarray],
+        flat_ids: Sequence[int] | np.ndarray,
+        lengths: Sequence[int],
     ) -> None:
-        """One stacked forward pass over the cache misses."""
-        predictions = self.models.compute.predict_many(matrices)
-        self._store_predictions(costs, missing_indices, missing_keys, predictions)
+        """Shared miss tail of both set-scoring entry points: one bank
+        gather, one ``predict_rows`` forward, then floor, cache, fill and
+        count.
 
-    def _store_predictions(
-        self,
-        costs: list[float | None],
-        missing_indices: list[int],
-        missing_keys: Sequence[tuple[str, ...]],
-        predictions: np.ndarray,
-    ) -> None:
-        """Shared miss-handling tail of both prediction routes: floor,
-        cache, fill, count — one place so the keyed fast path can never
-        drift from the general route."""
+        ``flat_ids`` concatenates the bank row ids of the missing sets
+        (``lengths[k]`` ids for ``missing_indices[k]``).
+        """
+        rows_matrix = self.featurizer.gather(
+            np.asarray(flat_ids, dtype=np.intp)
+        )
+        segments = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        predictions = self.models.compute.predict_rows(
+            rows_matrix, segments, len(lengths)
+        )
         # The true cost is positive; a tiny floor also keeps greedy
         # comparisons meaningful when the model extrapolates low.
         predictions = np.maximum(predictions, 1e-3)
@@ -391,50 +311,7 @@ class NeuroShardSimulator:
             )
         compute = self.device_compute_costs(per_device_tables)
         dims = [sum(t.dim for t in dev) for dev in per_device_tables]
-        return self._comm_breakdown(compute, dims)
-
-    def plan_cost_keyed(
-        self,
-        device_keys: Sequence[Sequence[str]],
-        device_rows: Sequence[Sequence[np.ndarray]],
-        device_dims: Sequence[int],
-    ) -> PlanCost:
-        """:meth:`plan_cost` from the greedy allocator's incremental
-        per-device state, memoized on the exact placement.
-
-        Adjacent grid points frequently converge to the same assignment;
-        the memo (keyed on the ordered tuple of per-device canonical
-        keys, which fully determines the breakdown) serves those repeats
-        without re-running the communication models.  Compute lookups a
-        memo hit skips are recorded as cache hits to keep hit-rate
-        diagnostics comparable with the recompute-from-scratch path.
-
-        Only called with an enabled cost cache (the caller falls back to
-        :meth:`plan_cost` for the "w/o caching" ablation, preserving its
-        stacking order); device compute costs are then cache-served from
-        the greedy pass that just built the placement, so the breakdown
-        is bit-identical to rebuilding the table lists.
-        """
-        if len(device_keys) != self.num_devices:
-            raise ValueError(
-                f"placement has {len(device_keys)} devices, models are "
-                f"for {self.num_devices}"
-            )
-        placement_key = tuple(tuple(k) for k in device_keys)
-        hit = self._plan_cost_by_key.get(placement_key)
-        if hit is not None:
-            nonempty = sum(1 for k in placement_key if k)
-            if nonempty:
-                self.cache.record_external_hits(nonempty)
-            if self.profile is not None:
-                self.profile.count("plan_cost_memo_hits")
-            return hit
-        compute = self.device_compute_costs_keyed(
-            [(key, rows, None) for key, rows in zip(placement_key, device_rows)]
-        )
-        breakdown = self._comm_breakdown(compute, list(device_dims))
-        self._plan_cost_by_key[placement_key] = breakdown
-        return breakdown
+        return self._comm_breakdowns([compute], [dims])[0]
 
     def plan_costs_keyed_batch(
         self,
@@ -446,16 +323,22 @@ class NeuroShardSimulator:
             ]
         ],
     ) -> list[PlanCost]:
-        """Batched :meth:`plan_cost_keyed` over many placements.
+        """Batched :meth:`plan_cost` over many placements, memoized on
+        the exact placement.
 
         The lockstep search finalizes every surviving grid pass / beam
         frontier member at once: placement-memo lookups run first, the
         remaining placements' device sets flow through **one**
         :meth:`device_compute_costs_batch` call, and both communication
         models score all placements in one ``predict_batch`` each.
-        Bit-identical to calling :meth:`plan_cost_keyed` per placement
-        in order (same memo, same chunk-stable kernels); only called
-        with an enabled cost cache, like :meth:`plan_cost_keyed`.
+        Adjacent grid points frequently converge to the same
+        assignment; the memo (keyed on the ordered tuple of per-device
+        canonical keys, which fully determines the breakdown) serves
+        those repeats, and records the compute lookups it skips as cache
+        hits to keep hit-rate diagnostics comparable.  Breakdowns are
+        bit-identical to :meth:`plan_cost` on the same placement (same
+        chunk-stable kernels).  Only called with an enabled cost cache;
+        the "w/o caching" ablation finalizes through :meth:`plan_cost`.
 
         Args:
             items: per placement, ``(device_keys, device_row_ids,
@@ -486,7 +369,7 @@ class NeuroShardSimulator:
             j = first_pending.get(placement_key)
             if j is not None:
                 # Same placement appears twice before it is memoized;
-                # sequential order would memo-serve the second call.
+                # one-at-a-time scoring would memo-serve the second call.
                 nonempty = sum(1 for k in placement_key if k)
                 if nonempty:
                     self.cache.record_external_hits(nonempty)
@@ -527,17 +410,19 @@ class NeuroShardSimulator:
         computes: Sequence[Sequence[float]],
         dims_list: Sequence[Sequence[int]],
     ) -> list[PlanCost]:
-        """Batched :meth:`_comm_breakdown`: one stacked forward per
-        direction for all placements (chunk-stable, so each row equals
-        its single-placement prediction bitwise)."""
-        starts_list = []
+        """Attach communication costs to per-device compute predictions:
+        one stacked forward per direction for all placements
+        (chunk-stable, so each row equals its single-placement
+        prediction bitwise)."""
         rows = np.empty(
             (len(computes), 2 * self.num_devices), dtype=np.float64
         )
         for n, (compute, dims) in enumerate(zip(computes, dims_list)):
+            # Compute imbalance is what skews collective starts; only the
+            # relative skew matters, so anchor at zero (the comm models
+            # are trained on zero-anchored skews).
             min_compute = min(compute)
             starts = [c - min_compute for c in compute]
-            starts_list.append(starts)
             rows[n] = comm_features(dims, starts, self.models.batch_size)
         fwd = np.maximum(self.models.forward_comm.predict_batch(rows), 0.0)
         bwd = np.maximum(self.models.backward_comm.predict_batch(rows), 0.0)
@@ -549,22 +434,3 @@ class NeuroShardSimulator:
             )
             for n, compute in enumerate(computes)
         ]
-
-    def _comm_breakdown(
-        self, compute: Sequence[float], dims: Sequence[int]
-    ) -> PlanCost:
-        """Attach communication costs to per-device compute predictions."""
-        # Compute imbalance is what skews collective starts; only the
-        # relative skew matters, so anchor at zero (the comm models are
-        # trained on zero-anchored skews).
-        min_compute = min(compute)
-        starts = [c - min_compute for c in compute]
-        fwd = self.models.forward_comm.predict(dims, starts, self.models.batch_size)
-        bwd = self.models.backward_comm.predict(dims, starts, self.models.batch_size)
-        fwd = np.maximum(fwd, 0.0)
-        bwd = np.maximum(bwd, 0.0)
-        return PlanCost(
-            compute_ms=tuple(compute),
-            fwd_comm_ms=tuple(float(x) for x in fwd),
-            bwd_comm_ms=tuple(float(x) for x in bwd),
-        )

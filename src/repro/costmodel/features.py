@@ -22,6 +22,7 @@ instead of re-stacking Python lists of vectors per candidate.
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +77,10 @@ class TableFeaturizer:
         )
         self._row_by_uid: dict[str, int] = {}
         self._num_rows = 0
+        # Serializes interning: one bundle's featurizer is shared by every
+        # thread of an engine, and two threads claiming the same row id
+        # would publish ids past the live region.
+        self._intern_lock = threading.Lock()
         # Per-uid view objects into the bank, so repeated features()
         # calls return the same array object (callers rely on identity
         # for their own caching).  Views from before a geometric grow
@@ -134,20 +139,27 @@ class TableFeaturizer:
         idx = self._row_by_uid.get(table.uid)
         if idx is not None:
             return idx
-        idx = self._num_rows
-        if idx == self._bank.shape[0]:
-            # Geometric growth: copy live rows into a fresh buffer twice
-            # the size.  Never shrinks, never rebuilds from Python lists,
-            # and never writes new rows into a buffer an outstanding view
-            # aliases past its live region.
-            grown = np.empty(
-                (2 * self._bank.shape[0], self.NUM_FEATURES), dtype=np.float64
-            )
-            grown[:idx] = self._bank[:idx]
-            self._bank = grown
-        self._bank[idx] = self._compute_features(table)
-        self._row_by_uid[table.uid] = idx
-        self._num_rows = idx + 1
+        with self._intern_lock:
+            idx = self._row_by_uid.get(table.uid)
+            if idx is not None:
+                return idx
+            idx = self._num_rows
+            if idx == self._bank.shape[0]:
+                # Geometric growth: copy live rows into a fresh buffer
+                # twice the size.  Never shrinks, never rebuilds from
+                # Python lists, and never writes new rows into a buffer an
+                # outstanding view aliases past its live region.
+                grown = np.empty(
+                    (2 * self._bank.shape[0], self.NUM_FEATURES),
+                    dtype=np.float64,
+                )
+                grown[:idx] = self._bank[:idx]
+                self._bank = grown
+            self._bank[idx] = self._compute_features(table)
+            self._num_rows = idx + 1
+            # Publish the id last, so a lock-free reader that finds it
+            # can already gather its row.
+            self._row_by_uid[table.uid] = idx
         return idx
 
     def row_indices(self, tables: Sequence[TableConfig]) -> np.ndarray:
@@ -183,18 +195,6 @@ class TableFeaturizer:
             self._views[table.uid] = view
         return view
 
-    def features_rows(
-        self, tables: Sequence[TableConfig]
-    ) -> list[np.ndarray]:
-        """Cached per-table feature rows, without stacking.
-
-        The non-batched (ablation) search keeps per-device *lists* of
-        these rows and stacks only the combinations the cost cache
-        misses; returning interned row references avoids re-stacking on
-        every candidate.
-        """
-        return [self.features(t) for t in tables]
-
     def features_matrix(self, tables: Sequence[TableConfig]) -> np.ndarray:
         """Stacked feature rows for a table combination ``[T, F]``."""
         if len(tables) == 0:
@@ -212,9 +212,10 @@ class TableFeaturizer:
         starts at zero live rows, so :meth:`gather` rejects stale ids
         loudly until they are re-interned.
         """
-        self._row_by_uid.clear()
-        self._views.clear()
-        self._num_rows = 0
-        self._bank = np.empty(
-            (self._INITIAL_CAPACITY, self.NUM_FEATURES), dtype=np.float64
-        )
+        with self._intern_lock:
+            self._row_by_uid.clear()
+            self._views.clear()
+            self._num_rows = 0
+            self._bank = np.empty(
+                (self._INITIAL_CAPACITY, self.NUM_FEATURES), dtype=np.float64
+            )

@@ -35,7 +35,9 @@ class AblatedFeaturizer:
 
     Zeroing (rather than removing) keeps the model architecture
     identical across ablations, so accuracy differences are attributable
-    to information content alone.
+    to information content alone.  It exposes the feature-bank API
+    (:meth:`row_indices` / :meth:`gather`), so a bundle trained on it
+    searches on the same batched route as any other.
 
     Args:
         batch_size: deployment batch size.
@@ -67,8 +69,13 @@ class AblatedFeaturizer:
     def features(self, table: TableConfig) -> np.ndarray:
         return self._inner.features(table) * self._mask
 
-    def features_rows(self, tables: Sequence[TableConfig]) -> list[np.ndarray]:
-        return [self.features(t) for t in tables]
+    def row_indices(self, tables: Sequence[TableConfig]) -> np.ndarray:
+        """Bank row ids of the wrapped featurizer (unmasked rows)."""
+        return self._inner.row_indices(tables)
+
+    def gather(self, flat_row_ids: np.ndarray) -> np.ndarray:
+        """Masked rows: the ablation is a column mask over the gather."""
+        return self._inner.gather(flat_row_ids) * self._mask
 
     def features_matrix(self, tables: Sequence[TableConfig]) -> np.ndarray:
         return self._inner.features_matrix(tables) * self._mask

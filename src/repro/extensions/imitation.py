@@ -155,9 +155,9 @@ class ImitationSharder:
             device_tables[action].append(table)
             device_bytes[action] += memory.table_bytes(table)
             device_dims[action] += table.dim
-            device_costs[action] = simulator.device_compute_cost(
-                device_tables[action]
-            )
+            device_costs[action] = simulator.device_compute_costs(
+                [device_tables[action]]
+            )[0]
         return states, actions
 
     # ------------------------------------------------------------------
@@ -297,7 +297,7 @@ class ImitationSharder:
             device_tables[action].append(table)
             device_bytes[action] += t_bytes
             device_dims[action] += table.dim
-            device_costs[action] = simulator.device_compute_cost(
-                device_tables[action]
-            )
+            device_costs[action] = simulator.device_compute_costs(
+                [device_tables[action]]
+            )[0]
         return assignment_to_plan(assignment, num_devices)

@@ -35,10 +35,10 @@ Counter vocabulary (written by the search layers):
 ``plan_memo_hits``      column plans served from the multiset memo
 ``grid_passes``         greedy passes over the ``max_dim`` grid
 ``grid_pass_groups``    distinct lockstep trajectories those passes
-                        collapsed into (batched scoring; identical
-                        candidate-mask histories share one greedy state)
-``greedy_steps``        table-placement steps; under batched scoring one
-                        step advances a whole trajectory group
+                        collapsed into (identical candidate-mask
+                        histories share one greedy state)
+``greedy_steps``        table-placement steps; one step advances a
+                        whole trajectory group
 ``scored_candidates``   candidate devices scored across all steps
 ``predict_batches``     stacked cost-model forward passes
 ``predicted_sets``      device table sets predicted (cache misses)

@@ -35,26 +35,26 @@ FAST_SEARCH = SearchConfig(top_n=3, beam_width=2, max_steps=3, grid_points=4)
 
 class TestSimulator:
     def test_empty_device_is_free(self, simulator):
-        assert simulator.device_compute_cost([]) == 0.0
+        assert simulator.device_compute_costs([[]]) == [0.0]
 
     def test_costs_positive(self, simulator, tasks2):
         tables = list(tasks2[0].tables)
-        assert simulator.device_compute_cost(tables) > 0
+        assert simulator.device_compute_costs([tables])[0] > 0
 
     def test_caching_works(self, tiny_bundle, tasks2):
         cache = CostCache()
         simulator = NeuroShardSimulator(tiny_bundle, cache)
         tables = list(tasks2[0].tables)
-        a = simulator.device_compute_cost(tables)
-        b = simulator.device_compute_cost(tables)
+        a = simulator.device_compute_costs([tables])[0]
+        b = simulator.device_compute_costs([tables])[0]
         assert a == b
         assert cache.hits == 1
         assert cache.get(table_set_key(tables)) == a
 
     def test_order_invariance_through_cache_key(self, simulator, tasks2):
         tables = list(tasks2[0].tables)
-        a = simulator.device_compute_cost(tables)
-        b = simulator.device_compute_cost(list(reversed(tables)))
+        a = simulator.device_compute_costs([tables])[0]
+        b = simulator.device_compute_costs([list(reversed(tables))])[0]
         assert a == b
 
     def test_plan_cost_breakdown(self, simulator, tasks2):
@@ -191,18 +191,68 @@ class TestCandidates:
 
 
 class TestSearchFastPaths:
-    def test_keyed_costs_match_general_route(self, simulator, tasks2):
+    def test_batch_costs_match_table_list_route(self, tiny_bundle, tasks2):
+        """Bank-row-id scoring equals table-list scoring bit for bit,
+        with and without the appended candidate row (fresh caches, so
+        both sides really predict)."""
         tables = list(tasks2[0].tables)[:4]
-        general = simulator.device_compute_costs([tables])
-        featurizer = simulator.featurizer
-        keyed = simulator.device_compute_costs_keyed(
-            [(
+        sets = [tables, tables[:1], tables[1:3]]
+        general = NeuroShardSimulator(
+            tiny_bundle, CostCache()
+        ).device_compute_costs(sets)
+        batched = NeuroShardSimulator(tiny_bundle, CostCache())
+        featurizer = batched.featurizer
+        entries = [
+            (
                 table_set_key(tables),
-                featurizer.features_rows(tables[:-1]),
-                featurizer.features(tables[-1]),
+                featurizer.row_indices(tables[:-1]).tolist(),
+                featurizer.row_index(tables[-1]),
+            ),
+        ] + [
+            (table_set_key(s), featurizer.row_indices(s).tolist(), None)
+            for s in sets[1:]
+        ]
+        assert batched.device_compute_costs_batch(entries) == general
+
+    def test_duplicate_sets_each_count_as_a_miss(self, tiny_bundle, tasks2):
+        """``device_compute_costs`` looks every set up on its own: a set
+        repeated inside one call is two misses and two predictions (no
+        in-call dedupe), so hit-rate columns stay where they were."""
+        cache = CostCache()
+        simulator = NeuroShardSimulator(tiny_bundle, cache)
+        tables = list(tasks2[0].tables)
+        a, b = tables[:2], tables[2:4]
+        # A reordered copy is the same multiset, hence the same key.
+        first = simulator.device_compute_costs([a, b, list(reversed(a)), []])
+        assert first[0] == first[2]
+        assert first[3] == 0.0
+        assert (cache.hits, cache.misses, len(cache)) == (0, 3, 2)
+        second = simulator.device_compute_costs([a, b, a])
+        assert second == first[:3]
+        assert (cache.hits, cache.misses, len(cache)) == (3, 3, 2)
+
+    def test_plan_cost_matches_keyed_batch(self, tiny_bundle, tasks2):
+        """``plan_cost`` on table lists and ``plan_costs_keyed_batch`` on
+        bank row ids agree bitwise on the same placement, breakdown
+        included."""
+        tables = list(tasks2[0].tables)
+        per_device = [tables[0::2], tables[1::2]]
+        expected = NeuroShardSimulator(tiny_bundle, CostCache()).plan_cost(
+            per_device
+        )
+        batched = NeuroShardSimulator(tiny_bundle, CostCache())
+        featurizer = batched.featurizer
+        (got,) = batched.plan_costs_keyed_batch(
+            [(
+                [table_set_key(dev) for dev in per_device],
+                [featurizer.row_indices(dev).tolist() for dev in per_device],
+                [sum(t.dim for t in dev) for dev in per_device],
             )]
         )
-        assert keyed == general
+        assert got == expected
+        assert got.compute_ms == expected.compute_ms
+        assert got.fwd_comm_ms == expected.fwd_comm_ms
+        assert got.bwd_comm_ms == expected.bwd_comm_ms
 
     def test_single_table_costs_memoized_per_uid(self, tiny_bundle, tasks2):
         cache = CostCache()

@@ -124,3 +124,46 @@ class TestCacheCoherence:
         featurizer.row_indices(tables[:3])  # new epoch, 3 live rows
         with pytest.raises(IndexError, match="stale feature row id"):
             featurizer.gather(stale_ids)
+
+
+class TestConcurrentInterning:
+    def test_threads_interning_one_bank_never_publish_dead_ids(self):
+        """An engine's threads share one bundle featurizer: ids handed to
+        any thread must gather their own rows, never a stale-id error or
+        another table's features."""
+        import sys
+        import threading
+
+        pool = synthesize_table_pool(num_tables=300, seed=5)
+        featurizer = TableFeaturizer(batch_size=65536)
+        errors: list[BaseException] = []
+
+        def worker(seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(len(pool))
+            try:
+                for start in range(0, len(order), 3):
+                    chunk = [pool[i] for i in order[start : start + 3]]
+                    rows = featurizer.gather(featurizer.row_indices(chunk))
+                    for table, row in zip(chunk, rows):
+                        assert np.array_equal(
+                            row, featurizer._compute_features(table)
+                        )
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert featurizer.num_interned == len({t.uid for t in pool})

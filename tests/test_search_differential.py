@@ -1,15 +1,18 @@
-"""Differential fuzz: old-vs-new scoring across every registered strategy.
+"""Differential fuzz: cache-on vs cache-off across every registered strategy.
 
-The vectorized batch-scoring kernel replaces the per-candidate scoring
-loop for the core searches.  This suite drives a seeded corner-case task
+The search has one scoring route, but two independent ways through it:
+with the cost cache on, candidates are deduplicated, memo-served and
+finalized in one batched plan-cost call; with it off (the "w/o caching"
+ablation of Table 3) every grid point is its own trajectory group,
+every set is predicted, and placements are finalized one at a time
+through ``plan_cost``.  This suite drives a seeded corner-case task
 matrix — dimension extremes (including the ``dim <= 128`` regime of the
 paper's Observation 1, where fused multi-table kernels are cheapest),
-pooling and skew extremes, and budget corners — through **both** scoring
-paths via :func:`~repro.validation.differential_matrix`:
+pooling and skew extremes, and budget corners — through **both** via
+:func:`~repro.validation.differential_matrix`:
 
-- a *new* engine (batched scoring, the default), and
-- an *old* engine (``with_ablation("batch_scoring")``, the sequential
-  per-candidate loop).
+- a *cached* engine (the default search config), and
+- an *uncached* engine (``with_ablation("caching")``).
 
 Every strategy must stay :class:`~repro.validation.PlanValidator`-clean
 under both, and the two engines' responses must agree bit-for-bit under
@@ -37,10 +40,9 @@ SEARCH = SearchConfig(top_n=3, beam_width=2, max_steps=3, grid_points=4)
 def _comparable(response):
     """``deterministic_dict`` minus the cache hit rate.
 
-    The batched path serves deduplicated candidates and plan-memo hits
-    through ``record_external_hits``, so its hit *accounting* is allowed
-    to differ from the sequential loop's; the plan contract — plan,
-    cost, feasibility, evaluations — is held exactly.
+    A disabled cache never hits, so the hit *accounting* differs between
+    the two engines by construction; the plan contract — plan, cost,
+    feasibility, evaluations — is held exactly.
     """
     payload = response.deterministic_dict()
     payload.pop("cache_hit_rate", None)
@@ -103,7 +105,7 @@ def corner_tasks():
 
 @pytest.fixture(scope="module")
 def engines(cluster2, tiny_bundle):
-    """(new, old): batched scoring vs the sequential ablation."""
+    """(cached, uncached): the default search vs the caching ablation."""
     def build(search):
         return ShardingEngine(
             cluster2,
@@ -112,7 +114,7 @@ def engines(cluster2, tiny_bundle):
             strategy_kwargs={"random": {"seed": 7}},
         )
 
-    return build(SEARCH), build(SEARCH.with_ablation("batch_scoring"))
+    return build(SEARCH), build(SEARCH.with_ablation("caching"))
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +122,7 @@ def strategy_options(cluster2, tiny_bundle, corner_tasks):
     """Construction options for strategies needing a trained artifact.
 
     The guided policy is built once and shared by both engines, so a
-    response difference can only come from the scoring path under test.
+    response difference can only come from the cache setting under test.
     """
     policy = make_sharder(
         "imitation",
@@ -133,11 +135,11 @@ def strategy_options(cluster2, tiny_bundle, corner_tasks):
     return {"guided": {"policy": policy}, "imitation": fit, "offline_rl": fit}
 
 
-class TestOldVsNewScoring:
-    def test_matrix_clean_under_both_scorings(
+class TestCacheOnVsOff:
+    def test_matrix_clean_under_both_engines(
         self, engines, corner_tasks, strategy_options
     ):
-        for label, engine in zip(("batched", "sequential"), engines):
+        for label, engine in zip(("cached", "uncached"), engines):
             report = differential_matrix(
                 engine,
                 corner_tasks,
@@ -155,9 +157,9 @@ class TestOldVsNewScoring:
     def test_responses_bit_identical(
         self, engines, corner_tasks, strategy_options
     ):
-        """Every (strategy, task) response agrees across the two scoring
-        paths under ``deterministic_dict`` — plans, costs, feasibility."""
-        new_engine, old_engine = engines
+        """Every (strategy, task) response agrees across the two engines
+        under ``deterministic_dict`` — plans, costs, feasibility."""
+        cached_engine, uncached_engine = engines
         for name in available_strategies():
             for task in corner_tasks:
                 request = ShardingRequest(
@@ -166,9 +168,9 @@ class TestOldVsNewScoring:
                     options=dict(strategy_options.get(name) or {}),
                     request_id=f"diff-{name}-{task.task_id}",
                 )
-                new = _comparable(new_engine.shard(request))
-                old = _comparable(old_engine.shard(request))
-                assert new == old, (name, task.task_id)
+                cached = _comparable(cached_engine.shard(request))
+                uncached = _comparable(uncached_engine.shard(request))
+                assert cached == uncached, (name, task.task_id)
 
     def test_split_forcing_budget_corner(self, engines, corner_tasks):
         """A budget below the largest table forces column splits; the
@@ -186,7 +188,7 @@ class TestOldVsNewScoring:
         tight = dataclasses.replace(
             _task(10, tables), memory_bytes=max(int(0.75 * largest), 1)
         )
-        new_engine, old_engine = engines
+        cached_engine, uncached_engine = engines
         for engine in engines:
             report = differential_matrix(
                 engine, [tight], strategies=["beam", "mixed"]
@@ -196,12 +198,12 @@ class TestOldVsNewScoring:
             request = ShardingRequest(
                 tight, strategy=name, request_id=f"diff-split-{name}"
             )
-            assert _comparable(new_engine.shard(request)) == _comparable(
-                old_engine.shard(request)
+            assert _comparable(cached_engine.shard(request)) == _comparable(
+                uncached_engine.shard(request)
             )
 
     def test_infeasible_budget_corner_agrees(self, engines, corner_tasks):
-        """When nothing fits, both scoring paths must report the same
+        """When nothing fits, both engines must report the same
         infeasibility, cell for cell."""
         hopeless = dataclasses.replace(
             corner_tasks[0], memory_bytes=1024, task_id=11
@@ -211,6 +213,8 @@ class TestOldVsNewScoring:
             differential_matrix(engine, [hopeless], strategies=names)
             for engine in engines
         ]
-        for new_cell, old_cell in zip(reports[0].cells, reports[1].cells):
-            assert not new_cell.feasible
-            assert new_cell.to_dict() == old_cell.to_dict()
+        for cached_cell, uncached_cell in zip(
+            reports[0].cells, reports[1].cells
+        ):
+            assert not cached_cell.feasible
+            assert cached_cell.to_dict() == uncached_cell.to_dict()

@@ -1,20 +1,21 @@
 """Equivalence regression: optimized search == frozen reference.
 
-The incremental/memoized hot path (:mod:`repro.core.greedy_grid`,
-:mod:`repro.core.beam_search`, the simulator's keyed/memo fast paths) is
-required to return results *identical* to the pre-optimization
+The batched/memoized search (:mod:`repro.core.greedy_grid`,
+:mod:`repro.core.beam_search`, the simulator's batch/memo entry points)
+is required to return results *identical* to the pre-optimization
 implementation preserved in :mod:`repro.core.reference` — same
 feasibility, bit-equal costs, same assignment, same column plan, and the
 same number of inner-loop evaluations (a trajectory fingerprint).
 
 The suites cover seeded small / medium / split-forcing / infeasible task
 mixes, plus the ablation configurations (no grid, no cache) that drive
-the alternative code paths, and a full (strategy × cache × batch)
-matrix pinning the vectorized batch-scoring kernel cell by cell.
+the alternative code paths, and a full (strategy × cache) matrix
+pinning the vectorized batch-scoring kernel cell by cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core import (
     reference_greedy_grid_search,
 )
 from repro.data import generate_tasks
+from repro.extensions import AblatedFeaturizer
 from repro.hardware.memory import MemoryModel
 
 SMALL_SEARCH = SearchConfig(top_n=3, beam_width=2, max_steps=3, grid_points=4)
@@ -147,28 +149,6 @@ class TestGridSearchEquivalence:
                 assert opt.breakdown.fwd_comm_ms == ref.breakdown.fwd_comm_ms
                 assert opt.breakdown.bwd_comm_ms == ref.breakdown.bwd_comm_ms
 
-    def test_grid_batch_vs_sequential(self, tiny_bundle, tasks2):
-        """The lockstep batched grid search equals its own sequential
-        route bit-for-bit, breakdown included."""
-        for task in tasks2:
-            memory = MemoryModel(task.memory_bytes)
-            results = []
-            for search in (
-                MEDIUM_SEARCH,
-                MEDIUM_SEARCH.with_ablation("batch_scoring"),
-            ):
-                results.append(
-                    greedy_grid_search(
-                        list(task.tables), 2,
-                        NeuroShardSimulator(tiny_bundle, CostCache()),
-                        memory, search,
-                    )
-                )
-            batched, sequential = results
-            assert batched.cost_ms == sequential.cost_ms
-            assert batched.assignment == sequential.assignment
-            assert batched.max_dim_used == sequential.max_dim_used
-
     def test_shared_cache_between_runs_is_harmless(self, tiny_bundle, tasks2):
         """Predictions are deterministic, so running the optimized search
         on a cache pre-warmed by the reference changes nothing."""
@@ -188,7 +168,29 @@ class TestGridSearchEquivalence:
         assert opt.assignment == ref.assignment
 
 
-def _config_for(base: SearchConfig, strategy: str, cache: bool, batch: bool):
+class TestAblatedFeaturizerBundle:
+    def test_beam_search_matches_reference(self, tiny_bundle, tasks2):
+        """A bundle whose featurizer zeroes feature groups searches on the
+        batched route (gathering masked bank rows) and still matches the
+        reference, which stacks masked per-set matrices, bit for bit."""
+        bundle = dataclasses.replace(
+            tiny_bundle,
+            featurizer=AblatedFeaturizer(
+                tiny_bundle.batch_size, ("distribution", "size")
+            ),
+        )
+        task = tasks2[0]
+        largest = max(t.size_bytes + t.hash_size * 4 for t in task.tables)
+        for memory in (
+            MemoryModel(task.memory_bytes),
+            MemoryModel(max(int(largest * 0.75), 1)),  # forces splits
+        ):
+            ref, opt = _run_both(bundle, task.tables, 2, memory, MEDIUM_SEARCH)
+            assert ref.feasible
+            _assert_identical(ref, opt)
+
+
+def _config_for(base: SearchConfig, strategy: str, cache: bool):
     """Build the matrix cell's configuration from its coordinates."""
     config = base
     if strategy == "mixed":
@@ -198,19 +200,16 @@ def _config_for(base: SearchConfig, strategy: str, cache: bool, batch: bool):
         config = config.with_ablation("grid_search")
     if not cache:
         config = config.with_ablation("caching")
-    if not batch:
-        config = config.with_ablation("batch_scoring")
     return config
 
 
 class TestEquivalenceMatrix:
-    """(strategy ∈ greedy/beam/mixed) × (cache on/off) × (batch on/off).
+    """(strategy ∈ greedy/beam/mixed) × (cache on/off).
 
     Every cell is held to *byte-identical plans and bit-equal costs*
-    against the frozen reference — including the batched-scoring cells,
-    whose whole-frontier forward passes must not perturb a single low
-    bit, and the cache-off cells, whose ablation must stay honest under
-    batching.
+    against the frozen reference: the whole-frontier forward passes
+    must not perturb a single low bit, and the cache-off ablation must
+    stay honest under batching.
     """
 
     STRATEGIES = ("greedy", "beam", "mixed")
@@ -244,35 +243,32 @@ class TestEquivalenceMatrix:
             ref, opt = _run_both(bundle, tables, 2, memory, search)
             _assert_identical(ref, opt)
 
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "seq"])
     @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_cell(self, tiny_bundle, tasks2, strategy, cache, batch):
-        search = _config_for(SMALL_SEARCH, strategy, cache, batch)
+    def test_cell(self, tiny_bundle, tasks2, strategy, cache):
+        search = _config_for(SMALL_SEARCH, strategy, cache)
         for task in tasks2[:2]:
             memory = MemoryModel(task.memory_bytes)
             self._check(tiny_bundle, task.tables, memory, search, strategy)
 
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "seq"])
     @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_split_forcing_cell(
-        self, tiny_bundle, tasks2, strategy, cache, batch
+        self, tiny_bundle, tasks2, strategy, cache
     ):
         """Budgets below the largest table force column splits (beam) or
         outright infeasibility (greedy alone) in every cell."""
-        search = _config_for(SMALL_SEARCH, strategy, cache, batch)
+        search = _config_for(SMALL_SEARCH, strategy, cache)
         task = tasks2[2]
         largest = max(t.size_bytes + t.hash_size * 4 for t in task.tables)
         memory = MemoryModel(max(int(largest * 0.75), 1))
         self._check(tiny_bundle, task.tables, memory, search, strategy)
 
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "seq"])
     @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_infeasible_cell(self, tiny_bundle, tasks2, strategy, cache, batch):
+    def test_infeasible_cell(self, tiny_bundle, tasks2, strategy, cache):
         """Nothing fits: every cell must agree on (in)feasibility, the
         overflow ranking and the evaluation count."""
-        search = _config_for(SMALL_SEARCH, strategy, cache, batch)
+        search = _config_for(SMALL_SEARCH, strategy, cache)
         memory = MemoryModel(1024)
         self._check(tiny_bundle, tasks2[4].tables, memory, search, strategy)

@@ -188,6 +188,18 @@ class TestProfileSchema:
         with pytest.raises(ValueError, match="unknown SearchConfig knobs"):
             TunedProfile.from_dict(payload)
 
+    def test_retired_batch_scoring_knob_still_loads(self):
+        """Profiles saved while ``SearchConfig`` had ``use_batch_scoring``
+        carry it in every candidate; loading drops exactly that key."""
+        payload = _pre_batch_retirement_payload()
+        assert TunedProfile.from_dict(payload) == _profile_fixture()
+        assert SearchConfig.from_dict(
+            {"top_n": 4, "use_batch_scoring": False}
+        ) == SearchConfig(top_n=4)
+        payload["chosen"]["search"]["use_batch_scorin"] = True
+        with pytest.raises(ValueError, match="use_batch_scorin'"):
+            TunedProfile.from_dict(payload)
+
     def test_profile_path_rejects_traversal(self, tmp_path):
         for name in ("", "../etc", "a/b", ".hidden"):
             with pytest.raises(ValueError, match="invalid scenario name"):
@@ -227,6 +239,17 @@ def _profile_fixture() -> TunedProfile:
         cache_hits=0,
         created_at=0.0,
     )
+
+
+def _pre_batch_retirement_payload() -> dict:
+    """``_profile_fixture()`` as saved while ``SearchConfig`` still had
+    the ``use_batch_scoring`` knob (``to_dict`` wrote every field)."""
+    payload = _profile_fixture().to_dict()
+    for candidate in (
+        payload["chosen"], payload["default"], *payload["frontier"]
+    ):
+        candidate["search"]["use_batch_scoring"] = True
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +522,28 @@ class TestProfileApplication:
         second = reopened.plan("tuned")
         assert second.plan == first.plan
         assert second.simulated_cost_ms == first.simulated_cost_ms
+
+    def test_stored_profile_with_retired_knob_reopens(
+        self, cluster2, tiny_bundle, small_pool, tmp_path
+    ):
+        """Deployment metadata written while ``use_batch_scoring`` existed
+        still reopens, and the profile's search config applies."""
+        service, engine = self._service(
+            cluster2, tiny_bundle, tmp_path, "store"
+        )
+        service.create_deployment(
+            "tuned", engine, tables=tuple(small_pool.tables[:6]),
+            profile=_profile_fixture(),
+        )
+        store = PlanStore(tmp_path / "store")
+        meta = store.load_meta("tuned")
+        meta["tuned_profile"] = _pre_batch_retirement_payload()
+        store.save_meta("tuned", meta)
+
+        reopened = ShardingService.open(store, lambda meta: engine)
+        assert reopened.skipped_deployments == {}
+        assert reopened.status("tuned")["tuned_profile"] == "flash_crowd"
+        assert reopened._get("tuned").profile == _profile_fixture()
 
     def test_device_count_mismatch_is_rejected(
         self, tuned_profile, cluster4, tiny_bundle, small_pool, tmp_path
