@@ -24,6 +24,21 @@ objective and a hard ``migration_budget_ms``:
    considered when ``allow_full_search`` and its migration cost fits the
    budget ("fall back to full re-search when the budget allows").
 
+The local search is the expensive part, so each of its steps scores the
+whole neighbourhood (every move, swap and split of the bottleneck's
+shards) as one batch: one
+:meth:`~repro.core.simulator.NeuroShardSimulator.plan_costs_batch` call
+on feature-bank row ids, with both communication models run once per
+step.  A candidate's migration cost comes from per-device egress,
+ingress and transfer sums against the applied plan, in the per-shard
+additive form of :class:`~repro.api.diff.MigrationCostModel`; only the
+candidates' touched shards are re-priced, and the full
+:class:`~repro.api.diff.PlanDiff` is built once, for the chosen plan.
+Results are bit-identical to scoring every candidate on its own with
+``plan_cost`` and ``PlanDiff.between`` (``tests/reshard_oracle.py``).
+The reshard keeps no state on the engine's long-lived simulator beyond
+cost-cache entries, so a bounded cache bounds it.
+
 Workload deltas (:class:`WorkloadDelta`) carry added/removed tables,
 in-place access-statistics updates (``update_stats`` — pooling/skew
 changes that move no bytes by themselves), and optionally the
@@ -37,7 +52,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.api.diff import MigrationCostModel, PlanDiff
 from repro.api.schema import SCHEMA_VERSION, ShardingRequest, ShardingResponse, _check_version
@@ -181,6 +196,17 @@ class WorkloadDelta:
         )
 
 
+def _real(name: str, value: Any) -> float:
+    """``value`` when it is a real number (not a bool, not NaN)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or math.isnan(value)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ReshardConfig:
     """Knobs of the incremental reshard search.
@@ -227,13 +253,41 @@ class ReshardConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ReshardConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            migration_budget_ms=data.get("migration_budget_ms"),
-            migration_lambda=float(data.get("migration_lambda", 1e-4)),
-            allow_full_search=bool(data.get("allow_full_search", True)),
-            max_refine_steps=int(data.get("max_refine_steps", 64)),
-        )
+        """Inverse of :meth:`to_dict`, strict about keys and types.
+
+        Knobs arrive from JSON (HTTP bodies, tuned profiles), where a
+        typo'd key or a quoted value would otherwise run the defaults or
+        a wrong value without a word.  Omitted knobs keep their defaults.
+
+        Raises:
+            ValueError: on an unknown key (named in the message), an
+                ``allow_full_search`` that is not a bool, a
+                ``max_refine_steps`` that is not an int, a
+                ``migration_lambda`` or ``migration_budget_ms`` (``None``
+                allowed) that is not a real number, or an out-of-range
+                value.
+        """
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown ReshardConfig knobs {unknown}; "
+                f"expected a subset of {sorted(known)}"
+            )
+        kwargs = dict(data)
+        if kwargs.get("migration_budget_ms") is not None:
+            _real("migration_budget_ms", kwargs["migration_budget_ms"])
+        if "migration_lambda" in kwargs:
+            kwargs["migration_lambda"] = float(
+                _real("migration_lambda", kwargs["migration_lambda"])
+            )
+        full = kwargs.get("allow_full_search", True)
+        if not isinstance(full, bool):
+            raise ValueError(f"allow_full_search must be a bool, got {full!r}")
+        steps = kwargs.get("max_refine_steps", 64)
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ValueError(f"max_refine_steps must be an int, got {steps!r}")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -301,7 +355,7 @@ def _place_added(
     ``None`` when some table fits no device.  Mirrors the inner search's
     greedy rule: costliest tables first, cheapest resulting device wins.
     """
-    singles = simulator.single_table_costs(added)
+    singles = simulator.device_compute_costs([[t] for t in added])
     order = sorted(range(len(added)), key=lambda i: -singles[i])
     devices: list[int] = [0] * len(added)
     for i in order:
@@ -340,6 +394,279 @@ def _plan_metrics(
     return cost, diff
 
 
+class _Transfers:
+    """Per-device egress bytes, ingress bytes and transfer counts of a
+    candidate placement against the applied plan.
+
+    These are the integers :class:`~repro.api.diff.MigrationCostModel`
+    prices.  Each shard adds its own term, which depends only on its
+    applied slot (the ``(device, size)`` of the applied shard with the
+    same uid and occurrence rank, or ``None`` for a shard the applied
+    plan lacks) and its new device, so a mutation updates the sums by
+    removing and re-adding the terms of the shards it touches.  Python
+    ints keep every update exact, and :meth:`cost_ms` equals the
+    ``migration_cost_ms`` of :meth:`PlanDiff.between` bitwise.
+    """
+
+    __slots__ = ("egress", "ingress", "transfers")
+
+    def __init__(
+        self, egress: list[int], ingress: list[int], transfers: list[int]
+    ) -> None:
+        self.egress = egress
+        self.ingress = ingress
+        self.transfers = transfers
+
+    def copy(self) -> "_Transfers":
+        """An independent copy (candidates adjust their own sums)."""
+        return _Transfers(
+            list(self.egress), list(self.ingress), list(self.transfers)
+        )
+
+    def shift(
+        self, slot: tuple[int, int] | None, size: int, device: int, sign: int
+    ) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) one shard's term."""
+        if slot is None:
+            self.ingress[device] += sign * size
+            self.transfers[device] += sign
+            return
+        old_device, old_size = slot
+        if old_device != device:
+            self.egress[old_device] += sign * old_size
+            self.ingress[device] += sign * old_size
+            self.transfers[old_device] += sign
+            self.transfers[device] += sign
+
+    def cost_ms(self, cost_model: MigrationCostModel) -> float:
+        """The migration cost these sums price to."""
+        return cost_model.cost_ms(self.egress, self.ingress, self.transfers)
+
+
+def _slot_ranker(
+    old_slots: Mapping[str, list[tuple[int, int]]],
+) -> Callable[[str], tuple[int, int] | None]:
+    """Match shards, in table-list order, to applied slots by uid and
+    occurrence rank (the :meth:`PlanDiff.between` convention)."""
+    seen: dict[str, int] = {}
+
+    def slot_of(uid: str) -> tuple[int, int] | None:
+        rank = seen.get(uid, 0)
+        seen[uid] = rank + 1
+        slots = old_slots.get(uid)
+        return slots[rank] if slots is not None and rank < len(slots) else None
+
+    return slot_of
+
+
+#: A refine mutation: ``("move", ti, target)``, ``("swap", ti, tj)`` or
+#: ``("split", ti, target)`` (``ti`` halved in place, the second half
+#: appended to the table list on ``target``).
+_Mutation = tuple[str, int, int]
+#: One device's canonical key, bank row ids and summed dimension.
+_DeviceView = tuple[tuple[str, ...], list[int], int]
+#: One placement as :meth:`NeuroShardSimulator.plan_costs_batch` takes it.
+_PlacementItem = tuple[list[tuple[str, ...]], list[list[int]], list[int]]
+
+
+class _Placement:
+    """The refine's current placement and the neighbourhood around it.
+
+    Keeps the working table list and its assignment with everything a
+    candidate is scored from: per-table columns (uid, bank row id, dim,
+    size, memory footprint and applied slot), per-device views and the
+    migration sums against the applied plan.  The applied slots are
+    built once per reshard; the columns are rebuilt only when a split
+    changes the table list.
+
+    A changed device's view lists its bank row ids in no particular
+    order: row order within a set does not change its prediction
+    (``predict_rows`` pools in a canonical order), and the canonical key
+    and dimension sum are order-free.
+    """
+
+    def __init__(
+        self,
+        tables: Sequence[TableConfig],
+        assignment: Sequence[int],
+        applied_plan: ShardingPlan,
+        applied_base: Sequence[TableConfig],
+        simulator: NeuroShardSimulator,
+        memory: MemoryModel,
+    ) -> None:
+        self.num_devices = applied_plan.num_devices
+        self.memory = memory
+        self._row_index = simulator.featurizer.row_index
+        self._old_slots: dict[str, list[tuple[int, int]]] = {}
+        for uid, _, device, size in applied_plan.shard_identities(applied_base):
+            self._old_slots.setdefault(uid, []).append((device, size))
+        self._set_tables(list(tables))
+        self._set_assignment(list(assignment))
+
+    def _set_tables(self, tables: list[TableConfig]) -> None:
+        self.tables = tables
+        self.uids = [t.uid for t in tables]
+        self.row_ids = [self._row_index(t) for t in tables]
+        self.dims = [t.dim for t in tables]
+        self.sizes = [t.size_bytes for t in tables]
+        self.table_bytes = [self.memory.table_bytes(t) for t in tables]
+        slot_of = _slot_ranker(self._old_slots)
+        self.slots = [slot_of(uid) for uid in self.uids]
+
+    def _set_assignment(self, assignment: list[int]) -> None:
+        self.assignment = assignment
+        self.members: list[list[int]] = [[] for _ in range(self.num_devices)]
+        self.device_bytes = [0] * self.num_devices
+        self.transfers = _Transfers(
+            [0] * self.num_devices, [0] * self.num_devices, [0] * self.num_devices
+        )
+        for ti, d in enumerate(assignment):
+            self.members[d].append(ti)
+            self.device_bytes[d] += self.table_bytes[ti]
+            self.transfers.shift(self.slots[ti], self.sizes[ti], d, 1)
+        self.views = [self._view(m) for m in self.members]
+
+    def _view(
+        self, members: Sequence[int], extra: Sequence[tuple[str, int, int]] = ()
+    ) -> _DeviceView:
+        """The view of a device holding table indices ``members`` plus
+        ``extra`` ``(uid, row id, dim)`` shards."""
+        entries = [(self.uids[k], self.row_ids[k], self.dims[k]) for k in members]
+        entries.extend(extra)
+        return (
+            tuple(sorted(e[0] for e in entries)),
+            [e[1] for e in entries],
+            sum(e[2] for e in entries),
+        )
+
+    def item(self, changed: Mapping[int, _DeviceView] | None = None) -> _PlacementItem:
+        """This placement as a ``plan_costs_batch`` item, with the views
+        of the ``changed`` devices replaced."""
+        views = list(self.views)
+        for d, v in (changed or {}).items():
+            views[d] = v
+        return [v[0] for v in views], [v[1] for v in views], [v[2] for v in views]
+
+    def neighbourhood(
+        self, bottleneck: int
+    ) -> list[tuple[_Mutation, _PlacementItem, _Transfers]]:
+        """Every memory-feasible move, swap and split of the bottleneck's
+        shards, in staging order (moves, then swaps, then splits), each
+        with its ``plan_costs_batch`` item and migration sums."""
+        capacity = self.memory.memory_bytes
+        assignment, slots, sizes = self.assignment, self.slots, self.sizes
+        table_bytes, device_bytes = self.table_bytes, self.device_bytes
+        movers = self.members[bottleneck]
+        others = [ti for ti, d in enumerate(assignment) if d != bottleneck]
+        out: list[tuple[_Mutation, _PlacementItem, _Transfers]] = []
+
+        def without(d: int, ti: int) -> list[int]:
+            return [k for k in self.members[d] if k != ti]
+
+        # The bottleneck's other shards, per shard leaving it.
+        rest = {ti: without(bottleneck, ti) for ti in movers}
+        for ti in movers:
+            rest_view = self._view(rest[ti])
+            for target in range(self.num_devices):
+                if target == bottleneck:
+                    continue
+                if device_bytes[target] + table_bytes[ti] > capacity:
+                    continue
+                moved = self.transfers.copy()
+                moved.shift(slots[ti], sizes[ti], bottleneck, -1)
+                moved.shift(slots[ti], sizes[ti], target, 1)
+                changed = {
+                    bottleneck: rest_view,
+                    target: self._view([*self.members[target], ti]),
+                }
+                out.append((("move", ti, target), self.item(changed), moved))
+        for ti in movers:
+            for tj in others:
+                d_j = assignment[tj]
+                fits_j = (
+                    device_bytes[d_j] - table_bytes[tj] + table_bytes[ti]
+                    <= capacity
+                )
+                fits_b = (
+                    device_bytes[bottleneck] - table_bytes[ti] + table_bytes[tj]
+                    <= capacity
+                )
+                if not (fits_j and fits_b):
+                    continue
+                moved = self.transfers.copy()
+                moved.shift(slots[ti], sizes[ti], bottleneck, -1)
+                moved.shift(slots[tj], sizes[tj], d_j, -1)
+                moved.shift(slots[ti], sizes[ti], d_j, 1)
+                moved.shift(slots[tj], sizes[tj], bottleneck, 1)
+                changed = {
+                    bottleneck: self._view([*rest[ti], tj]),
+                    d_j: self._view([*without(d_j, tj), ti]),
+                }
+                out.append((("swap", ti, tj), self.item(changed), moved))
+        for ti in movers:
+            if not self.tables[ti].can_halve:
+                continue
+            half, _ = self.tables[ti].halved()
+            half_entry = (half.uid, self._row_index(half), half.dim)
+            half_bytes = self.memory.table_bytes(half)
+            freed = device_bytes[bottleneck] - table_bytes[ti]
+            # The split renames one occurrence of uids[ti] to the half's
+            # uid, so both uids' occurrence ranks are re-derived; every
+            # other shard keeps its applied slot.
+            split = self.transfers.copy()
+            slot_of = _slot_ranker(self._old_slots)
+            for k, uid in enumerate(self.uids):
+                if uid != self.uids[ti] and uid != half.uid:
+                    continue
+                split.shift(slots[k], sizes[k], assignment[k], -1)
+                if k == ti:
+                    split.shift(slot_of(half.uid), half.size_bytes, bottleneck, 1)
+                else:
+                    split.shift(slot_of(uid), sizes[k], assignment[k], 1)
+            second_slot = slot_of(half.uid)
+            for target in range(self.num_devices):
+                on_bottleneck = half_bytes + (
+                    half_bytes if target == bottleneck else 0
+                )
+                if freed + on_bottleneck > capacity:
+                    continue
+                if (
+                    target != bottleneck
+                    and device_bytes[target] + half_bytes > capacity
+                ):
+                    continue
+                moved = split.copy()
+                moved.shift(second_slot, half.size_bytes, target, 1)
+                if target == bottleneck:
+                    changed = {
+                        bottleneck: self._view(rest[ti], [half_entry] * 2)
+                    }
+                else:
+                    changed = {
+                        bottleneck: self._view(rest[ti], [half_entry]),
+                        target: self._view(self.members[target], [half_entry]),
+                    }
+                out.append((("split", ti, target), self.item(changed), moved))
+        return out
+
+    def apply(self, mutation: _Mutation, bottleneck: int) -> None:
+        """Make a staged mutation of the ``bottleneck`` the placement."""
+        kind, ti, other = mutation
+        assignment = list(self.assignment)
+        if kind == "move":
+            assignment[ti] = other
+        elif kind == "swap":
+            assignment[ti], assignment[other] = assignment[other], bottleneck
+        else:
+            first, second = self.tables[ti].halved()
+            tables = list(self.tables)
+            tables[ti] = first
+            tables.append(second)
+            assignment.append(other)
+            self._set_tables(tables)
+        self._set_assignment(assignment)
+
+
 def _refine(
     assignment: list[int],
     tables: Sequence[TableConfig],
@@ -365,116 +692,55 @@ def _refine(
     A mutation is accepted only when it improves ``simulated + lambda *
     migration`` and its migration cost respects the budget; the loop
     stops at a local optimum or after ``max_refine_steps`` acceptances.
-    Returns the (possibly grown) table list and its assignment.
+    Candidates are folded in staging order (moves, swaps, splits) with a
+    strict improvement margin, so a tie goes to the earliest candidate.
+
+    Each step scores its whole neighbourhood as one batch: every
+    candidate's device sets (rebuilt, from bank row ids, only on the one
+    or two devices it changes) go through one
+    :meth:`~repro.core.simulator.NeuroShardSimulator.plan_costs_batch`
+    call.  A candidate's migration cost is priced from per-device
+    :class:`_Transfers` sums adjusted for the shards it touches, with no
+    :class:`PlanDiff` built.  The accepted candidate's breakdown names
+    the next step's bottleneck, so a placement is scored once.  The
+    result is exactly that of scoring each candidate with
+    ``plan_cost`` and ``PlanDiff.between``.  Returns the (possibly
+    grown) table list and its assignment.
     """
-    num_devices = applied_plan.num_devices
-    working = list(tables)
+    if config.max_refine_steps == 0:
+        return list(tables), assignment
     lam = config.migration_lambda
     budget = config.migration_budget_ms
-
-    def metrics(
-        tbls: Sequence[TableConfig], assign: Sequence[int]
-    ) -> tuple[float, PlanDiff]:
-        """Simulated cost + diff-vs-applied of one candidate state."""
-        plan = ShardingPlan(
-            column_plan=(), assignment=tuple(assign), num_devices=num_devices
-        )
-        return _plan_metrics(
-            plan, tbls, applied_plan, applied_base, simulator, cost_model
-        )
-
-    cost, diff = metrics(working, assignment)
-    objective = cost + lam * diff.migration_cost_ms
+    placement = _Placement(
+        tables, assignment, applied_plan, applied_base, simulator, memory
+    )
+    (current,) = simulator.plan_costs_batch([placement.item()])
+    objective = current.max_cost_ms + lam * placement.transfers.cost_ms(
+        cost_model
+    )
     for _ in range(config.max_refine_steps):
-        table_bytes = [memory.table_bytes(t) for t in working]
-        device_bytes = [0] * num_devices
-        for ti, d in enumerate(assignment):
-            device_bytes[d] += table_bytes[ti]
-        breakdown = simulator.plan_cost(
-            ShardingPlan(
-                column_plan=(),
-                assignment=tuple(assignment),
-                num_devices=num_devices,
-            ).per_device_tables(working)
-        )
+        device_costs = current.device_costs_ms
         bottleneck = max(
-            range(num_devices), key=lambda d: breakdown.device_costs_ms[d]
+            range(placement.num_devices), key=device_costs.__getitem__
         )
-        movers = [ti for ti, d in enumerate(assignment) if d == bottleneck]
-        others = [ti for ti, d in enumerate(assignment) if d != bottleneck]
-
-        # Each candidate: (tables, assignment) after the mutation.
-        candidates: list[tuple[list[TableConfig], list[int]]] = []
-
-        def stage(candidate_tables, candidate_assignment) -> None:
-            candidates.append((candidate_tables, candidate_assignment))
-
-        for ti in movers:
-            for target in range(num_devices):
-                if target == bottleneck:
-                    continue
-                if device_bytes[target] + table_bytes[ti] > memory.memory_bytes:
-                    continue
-                moved = list(assignment)
-                moved[ti] = target
-                stage(working, moved)
-        for ti in movers:
-            for tj in others:
-                d_j = assignment[tj]
-                fits_j = (
-                    device_bytes[d_j] - table_bytes[tj] + table_bytes[ti]
-                    <= memory.memory_bytes
-                )
-                fits_b = (
-                    device_bytes[bottleneck]
-                    - table_bytes[ti]
-                    + table_bytes[tj]
-                    <= memory.memory_bytes
-                )
-                if fits_j and fits_b:
-                    swapped = list(assignment)
-                    swapped[ti], swapped[tj] = d_j, bottleneck
-                    stage(working, swapped)
-        for ti in movers:
-            if not working[ti].can_halve:
+        candidates = placement.neighbourhood(bottleneck)
+        breakdowns = simulator.plan_costs_batch([c[1] for c in candidates])
+        best: tuple[float, int | None] = (objective, None)
+        for n, ((_, _, transfers), breakdown) in enumerate(
+            zip(candidates, breakdowns)
+        ):
+            migration_ms = transfers.cost_ms(cost_model)
+            if budget is not None and migration_ms > budget:
                 continue
-            first, second = working[ti].halved()
-            half_bytes = memory.table_bytes(first)
-            freed = device_bytes[bottleneck] - table_bytes[ti]
-            for target in range(num_devices):
-                on_bottleneck = half_bytes + (
-                    half_bytes if target == bottleneck else 0
-                )
-                if freed + on_bottleneck > memory.memory_bytes:
-                    continue
-                if (
-                    target != bottleneck
-                    and device_bytes[target] + half_bytes > memory.memory_bytes
-                ):
-                    continue
-                split_tables = list(working)
-                split_tables[ti] = first
-                split_tables.append(second)
-                split_assignment = list(assignment)
-                split_assignment.append(target)
-                stage(split_tables, split_assignment)
-
-        best: tuple[float, tuple[list[TableConfig], list[int]] | None] = (
-            objective,
-            None,
-        )
-        for candidate_tables, candidate_assignment in candidates:
-            c, m_diff = metrics(candidate_tables, candidate_assignment)
-            if budget is not None and m_diff.migration_cost_ms > budget:
-                continue
-            candidate_objective = c + lam * m_diff.migration_cost_ms
+            candidate_objective = breakdown.max_cost_ms + lam * migration_ms
             if candidate_objective < best[0] - 1e-12:
-                best = (candidate_objective, (candidate_tables, candidate_assignment))
-        if best[1] is None:
+                best = (candidate_objective, n)
+        objective, n = best
+        if n is None:
             break
-        working, assignment = best[1]
-        objective = best[0]
-    return working, assignment
+        placement.apply(candidates[n][0], bottleneck)
+        current = breakdowns[n]
+    return placement.tables, placement.assignment
 
 
 def incremental_reshard(

@@ -16,9 +16,12 @@ All computation-cost predictions flow through the
 :class:`~repro.core.cache.CostCache`.  The simulator has two set-scoring
 entry points — :meth:`NeuroShardSimulator.device_compute_costs` (table
 lists) and :meth:`NeuroShardSimulator.device_compute_costs_batch`
-(feature-bank row ids, the search's lockstep route) — and two
-plan-scoring entry points — :meth:`NeuroShardSimulator.plan_cost` and
-:meth:`NeuroShardSimulator.plan_costs_keyed_batch`.  Each pair shares
+(feature-bank row ids, the search's lockstep route) — and three
+plan-scoring entry points — :meth:`NeuroShardSimulator.plan_cost` (one
+placement of table lists), :meth:`NeuroShardSimulator.plan_costs_batch`
+(many placements by row ids, no memo: the reshard refine's
+neighbourhoods) and :meth:`NeuroShardSimulator.plan_costs_keyed_batch`
+(the same behind a placement memo: the search's finalize).  They share
 one prediction tail: cache misses are gathered from the featurizer bank
 and predicted in one ``predict_rows`` forward pass, and placements get
 their communication costs from one batched ``predict_batch`` per
@@ -90,11 +93,13 @@ class NeuroShardSimulator:
         self.profile = profile
         # Memo layers that live as long as this simulator, outside the
         # cost cache's ``max_entries`` bound.  Sharders build one
-        # simulator per search request, but ``ShardingEngine`` holds one
-        # for its whole lifetime (plan scoring and reshard), so reshard's
-        # ``single_table_costs`` uid memo lives as long as the engine.
-        # Both are disabled alongside the cost cache so the "w/o caching"
-        # ablation measures a genuinely memo-free search.
+        # simulator per search request and fill them; the simulator
+        # ``ShardingEngine`` holds for its whole lifetime (plan scoring
+        # and reshard) must not, so the engine-side callers use the
+        # memo-free entry points (``device_compute_costs``,
+        # ``plan_cost``, ``plan_costs_batch``).  Both are disabled
+        # alongside the cost cache so the "w/o caching" ablation
+        # measures a genuinely memo-free search.
         self._single_cost_by_uid: dict[str, float] = {}
         self._plan_cost_by_key: dict[
             tuple[tuple[str, ...], ...], PlanCost
@@ -327,18 +332,17 @@ class NeuroShardSimulator:
         the exact placement.
 
         The lockstep search finalizes every surviving grid pass / beam
-        frontier member at once: placement-memo lookups run first, the
-        remaining placements' device sets flow through **one**
-        :meth:`device_compute_costs_batch` call, and both communication
-        models score all placements in one ``predict_batch`` each.
-        Adjacent grid points frequently converge to the same
-        assignment; the memo (keyed on the ordered tuple of per-device
-        canonical keys, which fully determines the breakdown) serves
-        those repeats, and records the compute lookups it skips as cache
-        hits to keep hit-rate diagnostics comparable.  Breakdowns are
-        bit-identical to :meth:`plan_cost` on the same placement (same
-        chunk-stable kernels).  Only called with an enabled cost cache;
-        the "w/o caching" ablation finalizes through :meth:`plan_cost`.
+        frontier member at once: placement-memo lookups run first, and
+        the remaining placements are scored by one
+        :meth:`plan_costs_batch` call.  Adjacent grid points frequently
+        converge to the same assignment; the memo (keyed on the ordered
+        tuple of per-device canonical keys, which fully determines the
+        breakdown) serves those repeats, and records the compute
+        lookups it skips as cache hits to keep hit-rate diagnostics
+        comparable.  Breakdowns are bit-identical to :meth:`plan_cost`
+        on the same placement (same chunk-stable kernels).  Only called
+        with an enabled cost cache; the "w/o caching" ablation finalizes
+        through :meth:`plan_cost`.
 
         Args:
             items: per placement, ``(device_keys, device_row_ids,
@@ -381,20 +385,11 @@ class NeuroShardSimulator:
             pending.append(i)
             pending_keys.append(placement_key)
         if pending:
-            entries: list[tuple[tuple[str, ...], Sequence[int], int | None]] = []
-            for i, placement_key in zip(pending, pending_keys):
-                _, device_row_ids, _ = items[i]
-                entries.extend(
-                    (key, row_ids, None)
-                    for key, row_ids in zip(placement_key, device_row_ids)
-                )
-            flat_compute = self.device_compute_costs_batch(entries)
-            d = self.num_devices
-            computes = [
-                flat_compute[n * d : (n + 1) * d] for n in range(len(pending))
-            ]
-            breakdowns = self._comm_breakdowns(
-                computes, [list(items[i][2]) for i in pending]
+            breakdowns = self.plan_costs_batch(
+                [
+                    (placement_key, items[i][1], items[i][2])
+                    for i, placement_key in zip(pending, pending_keys)
+                ]
             )
             for i, placement_key, breakdown in zip(
                 pending, pending_keys, breakdowns
@@ -404,6 +399,56 @@ class NeuroShardSimulator:
         for i, j in dup_serves:
             out[i] = out[j]
         return out  # type: ignore[return-value]
+
+    def plan_costs_batch(
+        self,
+        items: Sequence[
+            tuple[
+                Sequence[tuple[str, ...]],
+                Sequence[Sequence[int]],
+                Sequence[int],
+            ]
+        ],
+    ) -> list[PlanCost]:
+        """Batched :meth:`plan_cost` over many placements, with no
+        placement memo.
+
+        Every placement's device sets flow through **one**
+        :meth:`device_compute_costs_batch` call and both communication
+        models score all placements in one ``predict_batch`` each.
+        Breakdowns are bit-identical to :meth:`plan_cost` on the same
+        placement (same chunk-stable kernels).  Nothing outlives the
+        call except cost-cache entries, so callers that score many
+        one-off placements (the reshard refine's neighbourhoods) do not
+        grow simulator state.
+
+        Args:
+            items: per placement, ``(device_keys, device_row_ids,
+                device_dims)``: each device's canonical
+                :func:`~repro.data.table.table_set_key`, the
+                featurizer-bank row ids of its tables (in any order: a
+                set's prediction does not depend on its row order), and
+                its summed table dimension.
+        """
+        if not items:
+            return []
+        d = self.num_devices
+        entries: list[tuple[tuple[str, ...], Sequence[int], int | None]] = []
+        for device_keys, device_row_ids, _ in items:
+            if len(device_keys) != d:
+                raise ValueError(
+                    f"placement has {len(device_keys)} devices, models are "
+                    f"for {d}"
+                )
+            entries.extend(
+                (key, row_ids, None)
+                for key, row_ids in zip(device_keys, device_row_ids)
+            )
+        flat_compute = self.device_compute_costs_batch(entries)
+        return self._comm_breakdowns(
+            [flat_compute[n * d : (n + 1) * d] for n in range(len(items))],
+            [list(dims) for _, _, dims in items],
+        )
 
     def _comm_breakdowns(
         self,

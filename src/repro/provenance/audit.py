@@ -275,8 +275,11 @@ def _walk_record(
             committed=link.content_digest,
             actual=actual_content,
         )
+    # The chain digest commits to the version the record claims; a
+    # claim that is not an integer (already a version-mismatch finding)
+    # is checked against the file's own version instead.
     expected_chain = chain_digest(
-        version if claimed_version == version else int(claimed_version),
+        claimed_version if type(claimed_version) is int else version,
         link.prev_version,
         link.prev_digest,
         link.content_digest,

@@ -42,6 +42,8 @@ Three families of invariants:
 - ``transition/delta`` — a reshard record's workload delta deserializes;
 - ``transition/stats-unknown-table`` — stats updates reference tables the
   old workload actually served;
+- ``transition/diffable`` — the two plans can be diffed at all: they
+  target the same device count and each covers its own base tables;
 - ``transition/stats-zero-move`` — a pure ``update_stats`` reshard that
   holds the placement moves zero bytes (the update rewrites statistics in
   place; only voluntary rebalancing may move state);
@@ -285,6 +287,7 @@ class PlanValidator:
         "diff/mismatch",
         "transition/delta",
         "transition/stats-unknown-table",
+        "transition/diffable",
         "transition/stats-zero-move",
         "rollback/byte-identity",
         "state/applied-version",
@@ -592,9 +595,14 @@ class PlanValidator:
                 out.fail("transition/stats-unknown-table", str(exc))
                 return out.report()
 
-        recomputed = PlanDiff.between(
-            old.plan, old_base, new.plan, new.base_tables
-        )
+        out.ran("transition/diffable")
+        try:
+            recomputed = PlanDiff.between(
+                old.plan, old_base, new.plan, new.base_tables
+            )
+        except ValueError as exc:
+            out.fail("transition/diffable", f"the plans cannot be diffed: {exc}")
+            return out.report()
         # The production diff algorithm must satisfy conservation on
         # every transition, anchored or not.
         self._check_diff(

@@ -11,6 +11,7 @@ from repro.api import (
     ReshardConfig,
     ShardingEngine,
     ShardingRequest,
+    ShardingService,
     WorkloadDelta,
     incremental_reshard,
 )
@@ -74,14 +75,51 @@ class TestReshardConfig:
         with pytest.raises(ValueError, match="max_refine_steps"):
             ReshardConfig(max_refine_steps=-1)
 
-    def test_round_trip(self):
-        config = ReshardConfig(
-            migration_budget_ms=123.0,
-            migration_lambda=0.5,
-            allow_full_search=False,
-            max_refine_steps=7,
-        )
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ReshardConfig(
+                migration_budget_ms=123.0,
+                migration_lambda=0.5,
+                allow_full_search=False,
+                max_refine_steps=7,
+            ),
+            ReshardConfig(),
+            ReshardConfig(migration_budget_ms=0.0, migration_lambda=0.0),
+            ReshardConfig(migration_budget_ms=5_000, max_refine_steps=0),
+        ],
+    )
+    def test_round_trip(self, config):
         assert ReshardConfig.from_dict(config.to_dict()) == config
+        payload = json.loads(json.dumps(config.to_dict()))
+        assert ReshardConfig.from_dict(payload) == config
+
+    def test_omitted_knobs_keep_defaults(self):
+        assert ReshardConfig.from_dict({}) == ReshardConfig()
+        assert ReshardConfig.from_dict(
+            {"migration_budget_ms": None, "migration_lambda": 0}
+        ) == ReshardConfig(migration_lambda=0.0)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"max_refine_step": 1}, r"unknown ReshardConfig knobs \['max_refine_step'\]"),
+            ({"allow_full_search": "false"}, "allow_full_search must be a bool"),
+            ({"allow_full_search": 0}, "allow_full_search must be a bool"),
+            ({"max_refine_steps": "8"}, "max_refine_steps must be an int"),
+            ({"max_refine_steps": 8.0}, "max_refine_steps must be an int"),
+            ({"max_refine_steps": True}, "max_refine_steps must be an int"),
+            ({"migration_budget_ms": "5"}, "migration_budget_ms must be a number"),
+            ({"migration_budget_ms": math.nan}, "migration_budget_ms must be a number"),
+            ({"migration_lambda": "0.1"}, "migration_lambda must be a number"),
+            ({"migration_lambda": False}, "migration_lambda must be a number"),
+            ({"migration_lambda": None}, "migration_lambda must be a number"),
+            ({"max_refine_steps": -1}, "max_refine_steps must be >= 0"),
+        ],
+    )
+    def test_from_dict_is_strict(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ReshardConfig.from_dict(payload)
 
 
 class TestIncrementalReshard:
@@ -264,3 +302,37 @@ class TestFullSearchFlag:
         assert result.chosen == "none"
         assert not result.response.feasible
         assert result.full_response is None
+
+
+def test_reshards_keep_engine_memo_empty_and_cache_bounded(
+    cluster2, tiny_bundle, tasks2
+):
+    """The engine's simulator lives as long as the engine: reshards must
+    not grow its uid memo, and the bounded cost cache stays in bounds."""
+    engine = ShardingEngine(
+        cluster2, tiny_bundle, default_strategy="dim_greedy",
+        cache_max_entries=64,
+    )
+    service = ShardingService()
+    service.create_deployment("churn", engine, tables=tasks2[0].tables)
+    service.plan("churn")
+    service.apply("churn")
+    budget = cluster2.config.memory_bytes
+    pool = [
+        t for task in tasks2[1:] for t in task.tables
+        if t.size_bytes < budget // 8
+    ]
+    config = ReshardConfig(max_refine_steps=2)
+    for i in range(50):
+        added = dataclasses.replace(pool[i % len(pool)], table_id=50_000 + i)
+        removed = (50_000 + i - 3,) if i >= 3 else ()
+        record = service.reshard(
+            "churn",
+            WorkloadDelta(add_tables=(added,), remove_table_ids=removed),
+            config=config,
+        )
+        assert record.feasible
+    assert engine.simulator._single_cost_by_uid == {}
+    assert engine.simulator._plan_cost_by_key == {}
+    assert len(engine.cache) <= 64
+    assert engine.cache.evictions > 0

@@ -94,6 +94,26 @@ class TestRoutes:
         assert status == 400
         assert "delta" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"max_refine_step": 1}, "unknown ReshardConfig knobs"),
+            ({"allow_full_search": "false"}, "allow_full_search must be a bool"),
+            ({"migration_budget_ms": "5"}, "migration_budget_ms must be a number"),
+        ],
+    )
+    def test_bad_reshard_config_is_400(self, server, config, message):
+        _post(server, "/v1/deployments/prod/plan", {})
+        _post(server, "/v1/deployments/prod/apply", {})
+        delta = {"schema_version": 1, "remove_table_ids": [], "drift": None}
+        status, payload = _post(
+            server,
+            "/v1/deployments/prod/reshard",
+            {"delta": delta, "config": config},
+        )
+        assert status == 400
+        assert message in payload["error"]
+
 
 class TestLifecycleOverHTTP:
     def test_plan_apply_reshard_rollback_round_trip(self, server, tasks2):

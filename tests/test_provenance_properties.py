@@ -97,6 +97,38 @@ class TestByteFlip:
             shutil.rmtree(tmp, ignore_errors=True)
 
 
+#: Single-byte flips that once crashed the audit instead of being
+#: reported: ``(version, stored bytes, flipped bytes)``.
+CRASHING_FLIPS = [
+    # the top-level "version" key renamed: int(None) in the chain check
+    (1, b'"version": 1,', b'"wersion": 1,'),
+    # the plan's device count changed: PlanDiff.between refused to diff
+    (1, b'"num_devices": 2\n },', b'"num_devices": 3\n },'),
+    # the base tables key renamed: the plan no longer covers its tables
+    (1, b'"base_tables"', b'"case_tables"'),
+]
+
+
+class TestByteFlipRegressions:
+    @pytest.mark.parametrize("version, stored, flipped", CRASHING_FLIPS)
+    def test_flip_is_reported_as_tampering(
+        self, pristine, version, stored, flipped
+    ):
+        assert len(stored) == len(flipped)
+        assert sum(a != b for a, b in zip(stored, flipped)) == 1
+        tmp, store = _copy(pristine)
+        try:
+            path = _record_path(store, version)
+            raw = path.read_bytes()
+            assert stored in raw
+            path.write_bytes(raw.replace(stored, flipped, 1))
+            report = audit_deployment(store, "prod")
+            assert not report.ok
+            assert report.first_broken_version == version
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
 class TestStructuralTampers:
     @PROPERTY_SETTINGS
     @given(version=st.integers(min_value=1, max_value=4))

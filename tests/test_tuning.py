@@ -188,6 +188,21 @@ class TestProfileSchema:
         with pytest.raises(ValueError, match="unknown SearchConfig knobs"):
             TunedProfile.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("max_refine_step", 4, "unknown ReshardConfig knobs"),
+            ("allow_full_search", "false", "allow_full_search must be a bool"),
+            ("migration_budget_ms", "50", "migration_budget_ms must be a number"),
+            ("max_refine_steps", 4.5, "max_refine_steps must be an int"),
+        ],
+    )
+    def test_bad_reshard_knob_in_payload_fails_loudly(self, knob, value, message):
+        payload = _profile_fixture().to_dict()
+        payload["chosen"]["reshard"][knob] = value
+        with pytest.raises(ValueError, match=message):
+            TunedProfile.from_dict(payload)
+
     def test_retired_batch_scoring_knob_still_loads(self):
         """Profiles saved while ``SearchConfig`` had ``use_batch_scoring``
         carry it in every candidate; loading drops exactly that key."""

@@ -263,6 +263,22 @@ class TestTransitionCodes:
         report = validator.validate_transition(old, new)
         assert "transition/stats-unknown-table" in report.error_codes
 
+    @pytest.mark.parametrize(
+        "new_plan, new_tables",
+        [
+            # the new plan targets another device count
+            (_plan([0, 2], num_devices=3), _tables()),
+            # the new plan's assignment does not cover its base tables
+            (_plan([0, 1]), _tables(count=3)),
+        ],
+    )
+    def test_transition_diffable(self, validator, new_plan, new_tables):
+        """Plans that cannot be diffed are a finding, not a crash."""
+        old = _record(1, _plan([0, 1]), _tables())
+        new = _record(2, new_plan, new_tables)
+        report = validator.validate_transition(old, new)
+        assert report.error_codes == ("transition/diffable",)
+
     def test_transition_stats_zero_move(self, validator):
         tables = _tables()
         updated = dataclasses.replace(tables[0], pooling_factor=9.0)
