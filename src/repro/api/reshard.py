@@ -113,6 +113,16 @@ def apply_stats_updates(
     )
 
 
+def _check_keys(data: Mapping[str, Any], extra: set[str], cls: type, what: str) -> None:
+    """Reject keys of ``data`` that are neither ``cls`` fields nor ``extra``."""
+    known = extra | {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} {unknown}; expected a subset of {sorted(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class WorkloadDelta:
     """A workload change between the applied plan and now.
@@ -172,23 +182,32 @@ class WorkloadDelta:
         return {
             "schema_version": SCHEMA_VERSION,
             "add_tables": [table_to_dict(t) for t in self.add_tables],
-            "remove_table_ids": list(self.remove_table_ids),
+            "remove_table_ids": [int(i) for i in self.remove_table_ids],
             "update_stats": [table_to_dict(t) for t in self.update_stats],
             "drift": None if self.drift is None else self.drift.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadDelta":
-        """Inverse of :meth:`to_dict`; validates the schema version."""
+        """Inverse of :meth:`to_dict`, strict about keys and ids.
+
+        A typo'd key would load as an empty delta and a float id would be
+        truncated onto another table, so both raise ``ValueError``
+        (unknown keys are named).  Omitted fields keep their defaults.
+        """
         _check_version(data, "workload delta")
+        _check_keys(data, {"schema_version"}, cls, "WorkloadDelta keys")
+        removed = data.get("remove_table_ids", [])
+        if type(removed) is not list or any(type(i) is not int for i in removed):
+            raise ValueError(
+                f"remove_table_ids must be a list of ints, got {removed!r}"
+            )
         drift = data.get("drift")
         return cls(
             add_tables=tuple(
                 table_from_dict(t) for t in data.get("add_tables", ())
             ),
-            remove_table_ids=tuple(
-                int(i) for i in data.get("remove_table_ids", ())
-            ),
+            remove_table_ids=tuple(removed),
             update_stats=tuple(
                 table_from_dict(t) for t in data.get("update_stats", ())
             ),
@@ -267,13 +286,7 @@ class ReshardConfig:
                 allowed) that is not a real number, or an out-of-range
                 value.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ReshardConfig knobs {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        _check_keys(data, set(), cls, "ReshardConfig knobs")
         kwargs = dict(data)
         if kwargs.get("migration_budget_ms") is not None:
             _real("migration_budget_ms", kwargs["migration_budget_ms"])

@@ -67,6 +67,18 @@ _DEPLOYMENT_PATH = re.compile(
 _PLAN_TIMEOUT_S = 600.0
 
 
+def _body_field(body: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
+    """``body[key]`` when it is exactly a JSON ``kind`` (no coercion:
+    ``"false"`` is no bool, ``2.9`` or ``true`` no int), else a 400;
+    ``default`` when absent or ``null``."""
+    value = body.get(key)
+    if value is None:
+        return default
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 class _PlanJob:
     """One queued ``plan`` request awaiting its micro-batch."""
 
@@ -421,9 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
             name,
             engine,
             tables=tuple(table_from_dict(t) for t in tables_data),
-            memory_bytes=(
-                int(body["memory_bytes"]) if "memory_bytes" in body else None
-            ),
+            memory_bytes=_body_field(body, "memory_bytes", int, None),
             bundle_ref=self.server.bundle_ref,
         )
         self._send_json(200, status)
@@ -449,9 +459,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_apply(self, name: str) -> None:
         body = self._read_body()
-        version = body.get("version")
         record = self.server.service.apply(
-            name, None if version is None else int(version)
+            name, _body_field(body, "version", int, None)
         )
         self._send_json(200, record.to_dict())
 
@@ -470,7 +479,7 @@ class _Handler(BaseHTTPRequestHandler):
             delta,
             config=config,
             strategy=body.get("strategy"),
-            apply=bool(body.get("apply", True)),
+            apply=_body_field(body, "apply", bool, True),
             request_id=str(body.get("request_id", "")),
         )
         self._send_json(200, record.to_dict())

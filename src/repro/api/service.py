@@ -59,12 +59,11 @@ from repro.core.plan import ShardingPlan
 from repro.provenance.chain import (
     ProvenanceLink,
     genesis_digest,
-    link_digest_of_payload,
     link_record,
-    raw_digest,
     record_digest,
     stamp_fingerprint,
     state_stamp,
+    stored_link_digest,
 )
 from repro.data.io import table_from_dict, table_to_dict
 from repro.data.table import TableConfig
@@ -422,7 +421,8 @@ class ShardingService:
                 f"{profile.num_devices} devices but the engine serves "
                 f"{engine.cluster.num_devices}"
             )
-        memory = (
+        # Stored as an int: the store's reader accepts no other budget.
+        memory = int(
             memory_bytes
             if memory_bytes is not None
             else engine.cluster.config.memory_bytes
@@ -466,13 +466,13 @@ class ShardingService:
     ) -> "ShardingService":
         """Rebuild a service from a store.
 
-        Corrupted-tail recovery: a plan-record file that no longer
-        parses (a torn write from a pre-atomic store, disk corruption) is
-        dropped, and an applied stack referencing a missing or invalid
-        record is truncated to its longest consistent prefix — so the
-        service always comes back serving the **last consistent applied
-        version**.  Every such repair is recorded in
-        :attr:`recovery_notes`; a clean store produces none.
+        Corrupted-tail recovery over :meth:`PlanStore.read_deployment`:
+        a record file that does not decode (torn write, disk corruption)
+        is dropped, a malformed state field reset, and an applied stack
+        referencing a missing or invalid record truncated to its longest
+        consistent prefix — so the service always comes back serving the
+        **last consistent applied version**.  Every such repair is
+        recorded in :attr:`recovery_notes`; a clean store produces none.
 
         Args:
             store: the persisted deployments.
@@ -492,8 +492,10 @@ class ShardingService:
         for name in store.names():
             notes: list[str] = []
             try:
-                meta = store.load_meta(name)
-                _check_version(meta, "deployment metadata")
+                stored = store.read_deployment(name)
+                meta = stored.meta
+                if meta is None:
+                    raise ValueError(f"unreadable metadata ({stored.meta_error})")
                 engine = engine_factory(meta)
                 deployment = _Deployment(
                     name,
@@ -503,56 +505,40 @@ class ShardingService:
                     _coerce_profile(meta.get("tuned_profile")),
                 )
                 deployment.genesis_digest = genesis_digest(meta)
-                stored_versions = store.versions(name)
-                for version in stored_versions:
-                    data = None
-                    try:
-                        data = store.load_record(name, version)
-                        record = PlanRecord.from_dict(data)
-                    except Exception as exc:  # noqa: BLE001 — corrupted tail
+                for stored_record in stored.records:
+                    version, payload = stored_record.version, stored_record.payload
+                    # Register what a successor would chain over (a torn
+                    # file's raw bytes too), so records written after
+                    # this recovery stay verifiably linked past damage.
+                    digest = stored_link_digest(stored_record)
+                    if digest is not None:
+                        deployment.chain_digests[version] = digest
+                    error = stored_record.error
+                    if payload is not None:
+                        try:
+                            record = PlanRecord.from_dict(payload)
+                        except Exception as exc:  # noqa: BLE001 — corrupted tail
+                            error = f"{type(exc).__name__}: {exc}"
+                    if error is not None:
                         notes.append(
-                            f"dropped unreadable plan record v{version} "
-                            f"({type(exc).__name__}: {exc})"
+                            f"dropped unreadable plan record v{version} ({error})"
                         )
-                        # Register what a successor would chain over —
-                        # the raw file bytes when the record does not
-                        # parse — so new records written after this
-                        # recovery stay verifiably linked past the
-                        # damage instead of silently skipping it.
-                        if data is not None:
-                            deployment.chain_digests[version] = (
-                                link_digest_of_payload(data)
-                            )
-                        else:
-                            try:
-                                deployment.chain_digests[version] = raw_digest(
-                                    store.read_record_bytes(name, version)
-                                )
-                            except OSError:
-                                pass
                         continue
-                    deployment.chain_digests[version] = (
-                        link_digest_of_payload(data)
-                    )
                     deployment.records[record.version] = record
                 # Version allocation must clear every *stored* version,
                 # readable or not: a dropped corrupt v<N> still occupies
                 # its file, and records are immutable — reusing N would
                 # wedge every future plan on FileExistsError.
                 deployment._version_counter = max(
-                    stored_versions, default=0
+                    (r.version for r in stored.records), default=0
                 )
-                try:
-                    state = store.load_state(name)
-                except Exception as exc:  # noqa: BLE001 — corrupted tail
-                    notes.append(
-                        f"reset unreadable deployment state "
-                        f"({type(exc).__name__}: {exc})"
-                    )
-                    state = {}
-                stack = [int(v) for v in state.get("applied_stack", [])]
+                state = stored.state
+                notes.extend(
+                    f"reset damaged deployment state: {error}"
+                    for error in state.errors.values()
+                )
                 consistent: list[int] = []
-                for version in stack:
+                for version in state.applied_stack:
                     record = deployment.records.get(version)
                     if record is None or not record.feasible or record.plan is None:
                         notes.append(
@@ -572,11 +558,11 @@ class ShardingService:
                 # changed it since the metadata snapshot at creation
                 # time, independently of which plan is applied (capacity
                 # loss survives infeasible reshards and rollbacks).
-                # Stores written before the budget was state-tracked
-                # fall back to the applied record's contract.
-                state_memory = state.get("memory_bytes")
-                if state_memory is not None:
-                    deployment.memory_bytes = int(state_memory)
+                # Stores written before the budget was state-tracked, or
+                # whose budget field is malformed, fall back to the
+                # applied record's contract.
+                if state.memory_bytes is not None:
+                    deployment.memory_bytes = state.memory_bytes
                 elif deployment.applied_record is not None:
                     deployment.memory_bytes = (
                         deployment.applied_record.memory_bytes
@@ -735,29 +721,14 @@ class ShardingService:
         for prev in sorted(candidates, reverse=True):
             digest = deployment.chain_digests.get(prev)
             if digest is None:
-                digest = self._stored_link_digest(deployment.name, prev)
+                digest = stored_link_digest(
+                    self.store.read_record(deployment.name, prev)
+                )
                 if digest is None:
                     continue
                 deployment.chain_digests[prev] = digest
             return prev, digest
         return 0, deployment.genesis_digest
-
-    def _stored_link_digest(self, name: str, version: int) -> str | None:
-        """The chain digest a successor commits to for a stored record.
-
-        Parses the record when possible; digests its raw bytes when it
-        is torn (the chain accounts for damage instead of skipping it);
-        ``None`` when the file is gone entirely.
-        """
-        try:
-            return link_digest_of_payload(self.store.load_record(name, version))
-        except FileNotFoundError:
-            return None
-        except Exception:  # noqa: BLE001 — torn record: digest raw bytes
-            try:
-                return raw_digest(self.store.read_record_bytes(name, version))
-            except OSError:
-                return None
 
     @staticmethod
     def _plan_options(
@@ -1197,18 +1168,13 @@ class ShardingService:
             ]
             stack = list(deployment.applied_stack)
             budget = deployment.memory_bytes
-        stored: dict[int, dict[str, Any]] | None = None
-        if self.store is not None:
-            stored = {}
-            for version in self.store.versions(name):
-                try:
-                    stored[version] = self.store.load_record(name, version)
-                except Exception:  # noqa: BLE001 — unreadable = missing
-                    continue  # validate_history flags the byte mismatch
         return self.validator.validate_history(
             records,
             stack,
-            stored=stored,
+            # An unreadable record is missing: the byte check flags it.
+            stored=None if self.store is None else (
+                self.store.read_deployment(name).payloads
+            ),
             subject=f"deployment:{name}",
             memory_bytes=budget,
         )
@@ -1251,26 +1217,19 @@ class ShardingService:
         extra = []
         for note in self.recovery_notes.get(name, []):
             match = re.search(r"v(\d+)", note)
-            if match is not None:
-                version = int(match.group(1))
-                if version not in flagged:
-                    extra.append(
-                        AuditFinding(
-                            "chain/recovery-unconfirmed",
-                            "advisory",
-                            version,
-                            f"open() recovery blamed v{version} but the "
-                            f"audit found no damage there: {note}",
-                        )
-                    )
-            elif "state" in note and not state_flagged:
+            version = None if match is None else int(match.group(1))
+            if version is None:
+                confirmed = state_flagged or "state" not in note
+            else:
+                confirmed = version in flagged
+            if not confirmed:
                 extra.append(
                     AuditFinding(
                         "chain/recovery-unconfirmed",
                         "advisory",
-                        None,
-                        "open() recovery reported state damage the audit "
-                        f"did not confirm: {note}",
+                        version,
+                        f"the audit found no damage behind open()'s "
+                        f"recovery note: {note}",
                     )
                 )
         return report.with_findings(extra)
@@ -1351,7 +1310,9 @@ class ShardingService:
             anchor_digest = deployment.chain_digests.get(anchor_version)
             if anchor_digest is None:
                 anchor_digest = (
-                    self._stored_link_digest(deployment.name, anchor_version)
+                    stored_link_digest(
+                        self.store.read_record(deployment.name, anchor_version)
+                    )
                     or ""
                 )
         self.store.save_state(

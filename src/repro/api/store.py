@@ -36,8 +36,9 @@ entire history — every plan, diff and rollback — survives restarts and
 is replayable byte-for-byte.  Records carry provenance chain fields
 (each commits to its predecessor's digest — see
 :mod:`repro.provenance`), persisted through the same exclusive-link
-commit path; :meth:`PlanStore.read_record_bytes` exposes raw file bytes
-so the offline auditor can digest even records that no longer parse.
+commit path.  :meth:`PlanStore.read_deployment` is the one reader of a
+stored deployment: restart recovery, the offline audit and ``repro
+validate`` all decode through it, so damage means the same to each.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.api.schema import check_version
 from repro.costmodel.pretrain import PretrainedCostModels
 
-__all__ = ["BundleInfo", "BundleStore", "PlanStore"]
+__all__ = ["BundleInfo", "BundleStore", "PlanStore", "StoredDeployment",
+           "StoredRecord", "StoredState"]
 
 _MANIFEST = "bundle_meta.json"
 _BUNDLE_META = "metadata.json"  # written by PretrainedCostModels.save
@@ -259,6 +262,98 @@ class _LocalFS:
 _TMP_COUNTER = itertools.count()
 
 
+def _read_object(path: Path) -> tuple[bytes | None, dict[str, Any] | None, str | None]:
+    """``(raw bytes, JSON object, why there is no object)`` of one file;
+    ``raw`` is ``None`` only when the file cannot be read at all."""
+    raw = None
+    try:
+        raw = path.read_bytes()
+        data = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        return raw, None, f"{type(exc).__name__}: {exc}"
+    if not isinstance(data, dict):
+        return raw, None, f"expected an object, got {type(data).__name__}"
+    return raw, data, None
+
+
+@dataclass(frozen=True)
+class StoredRecord:
+    """One listed plan-record file: its bytes and, when it decodes, its
+    JSON object (``payload``); ``error`` says why there is none."""
+
+    version: int
+    raw: bytes | None
+    payload: dict[str, Any] | None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class StoredState:
+    """The decoded ``state.json``: ``applied_stack`` must be a JSON list
+    of integers (a string never splits into per-character versions),
+    ``memory_bytes`` a JSON integer (``None`` when absent, as in stores
+    older than state-tracked budgets); ``provenance`` is the stamp,
+    undecoded.  A field that does not decode keeps its empty value and
+    gets its own message in ``errors``, keyed by field name (``"state"``
+    when the file is unreadable or not a JSON object)."""
+
+    applied_stack: tuple[int, ...] = ()
+    memory_bytes: int | None = None
+    provenance: Any = None
+    errors: Mapping[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def decode(cls, path: Path) -> "StoredState":
+        """Read and decode a state file (empty when it does not exist)."""
+        if not path.exists():
+            return cls()
+        _, data, error = _read_object(path)
+        if data is None:
+            return cls(errors={"state": f"unreadable ({error})"})
+        errors = {}
+        # ``type(...) is int``: a JSON true is a bool, not an integer.
+        stack = data.get("applied_stack", [])
+        if type(stack) is not list or any(type(v) is not int for v in stack):
+            errors["applied_stack"] = f"applied_stack {stack!r} is not a list of integers"
+            stack = []
+        memory = data.get("memory_bytes")
+        if memory is not None and type(memory) is not int:
+            errors["memory_bytes"] = f"memory_bytes {memory!r} is not an integer"
+            memory = None
+        return cls(tuple(stack), memory, data.get("provenance"), errors)
+
+
+@dataclass(frozen=True)
+class StoredDeployment:
+    """Everything stored for one deployment, read once and decoded (see
+    :meth:`PlanStore.read_deployment`); ``meta`` is ``None`` when the
+    metadata does not decode, and ``meta_error`` says why."""
+
+    name: str
+    meta: dict[str, Any] | None
+    meta_error: str | None
+    records: tuple[StoredRecord, ...]
+    state: StoredState
+
+    @property
+    def payloads(self) -> dict[int, dict[str, Any]]:
+        """The decoded record objects, by file version."""
+        return {
+            r.version: r.payload for r in self.records if r.payload is not None
+        }
+
+    @property
+    def errors(self) -> list[str]:
+        """Every decoding error, one ``"<file>: <what>"`` line each."""
+        lines = [f"meta: unreadable ({self.meta_error})"] if self.meta_error else []
+        lines += [
+            f"record v{r.version}: unreadable ({r.error})"
+            for r in self.records
+            if r.error is not None
+        ]
+        return lines + [f"state: {e}" for e in self.state.errors.values()]
+
+
 class PlanStore:
     """Persist named deployments' plan-version histories under one root.
 
@@ -362,19 +457,30 @@ class PlanStore:
         directory = self._deployment_dir(name)
         self._write_json(directory / self._DEPLOYMENT, meta, "meta", indent=2)
 
-    def load_meta(self, name: str) -> dict[str, Any]:
-        """Read a deployment's metadata.
+    def read_deployment(self, name: str) -> StoredDeployment:
+        """Read and decode everything stored for one deployment.
 
-        Raises:
-            FileNotFoundError: when the deployment does not exist.
+        Each file is read once; damage, a missing file included, is an
+        error on the snapshot, never an exception.  The metadata must be
+        a JSON object of this code's schema version and each record file
+        a JSON object (its raw bytes are kept, so a torn file can still
+        be digested); the state decodes field by field
+        (:class:`StoredState`).
         """
-        path = self._deployment_dir(name) / self._DEPLOYMENT
-        if not path.exists():
-            raise FileNotFoundError(
-                f"no deployment named {name!r} in store {self.root} "
-                f"(known: {self.names() or 'none'})"
-            )
-        return json.loads(path.read_text())
+        directory = self._deployment_dir(name)
+        _, meta, meta_error = _read_object(directory / self._DEPLOYMENT)
+        if meta is not None:
+            try:
+                check_version(meta, "deployment metadata")
+            except ValueError as exc:
+                meta, meta_error = None, f"ValueError: {exc}"
+        return StoredDeployment(
+            name,
+            meta,
+            meta_error,
+            tuple(self.read_record(name, v) for v in self.versions(name)),
+            StoredState.decode(directory / self._STATE),
+        )
 
     # ------------------------------------------------------------------
     # plan records
@@ -458,23 +564,14 @@ class PlanStore:
             )
         return json.loads(path.read_text())
 
-    def read_record_bytes(self, name: str, version: int) -> bytes:
-        """Read one stored plan record's raw file bytes, unparsed.
+    def read_record(self, name: str, version: int) -> StoredRecord:
+        """Read one listed plan-record file: raw bytes plus its object.
 
-        The provenance layer (:mod:`repro.provenance`) uses this to
-        digest record files that no longer parse — a torn write the
-        chain must still account for.
-
-        Raises:
-            FileNotFoundError: when the version is not stored.
+        Never raises on damage: a missing, torn or non-object file comes
+        back with ``payload=None`` and the reason in ``error``.
         """
         path = self._deployment_dir(name) / self._PLANS / f"v{version}.json"
-        if not path.exists():
-            raise FileNotFoundError(
-                f"no plan record v{version} of deployment {name!r} in store "
-                f"{self.root} (stored: {self.versions(name) or 'none'})"
-            )
-        return path.read_bytes()
+        return StoredRecord(version, *_read_object(path))
 
     # ------------------------------------------------------------------
     # mutable deployment state (applied stack)
@@ -484,10 +581,3 @@ class PlanStore:
         """Write the mutable deployment state (the applied stack)."""
         directory = self._deployment_dir(name)
         self._write_json(directory / self._STATE, state, "state", indent=2)
-
-    def load_state(self, name: str) -> dict[str, Any]:
-        """Read the mutable deployment state (empty when never saved)."""
-        path = self._deployment_dir(name) / self._STATE
-        if not path.exists():
-            return {}
-        return json.loads(path.read_text())

@@ -1687,85 +1687,8 @@ def _cmd_tune(args) -> int:
     raise AssertionError(f"unhandled tune action {args.action!r}")
 
 
-def _validate_deployment_unit(store, name, validator):
-    """Validate one stored deployment offline; returns (report_dict, errors).
-
-    Everything is re-derived from the stored JSON — no engine or bundle
-    is needed — so ``repro validate`` can audit a store the serving
-    process cannot even load (e.g. after a bundle mismatch).
-    """
-    from repro.api import check_version
-    from repro.api.service import PlanRecord
-
-    extra: list[str] = []
-    try:
-        meta = store.load_meta(name)
-        check_version(meta, "deployment metadata")
-    except Exception as exc:  # corrupted metadata is a finding, not a crash
-        extra.append(f"meta: {type(exc).__name__}: {exc}")
-    records = []
-    stored = {}
-    for version in store.versions(name):
-        try:
-            data = store.load_record(name, version)
-        except Exception as exc:
-            extra.append(f"record v{version}: unreadable ({type(exc).__name__})")
-            continue
-        stored[version] = data
-        try:
-            records.append(PlanRecord.from_dict(data))
-        except Exception as exc:
-            extra.append(
-                f"record v{version}: does not deserialize "
-                f"({type(exc).__name__}: {exc})"
-            )
-    memory = None
-    try:
-        state = store.load_state(name)
-    except Exception as exc:
-        extra.append(f"state: unreadable ({type(exc).__name__})")
-        state = {}
-    if not isinstance(state, dict):
-        extra.append(f"state: expected an object, got {type(state).__name__}")
-        state = {}
-    raw_stack = state.get("applied_stack", [])
-    try:
-        if not isinstance(raw_stack, list):
-            raise TypeError(type(raw_stack).__name__)
-        stack = [int(v) for v in raw_stack]
-    except (TypeError, ValueError):
-        extra.append(
-            f"state: applied_stack {raw_stack!r} is not a list of integers"
-        )
-        stack = []
-    # The budget the deployment currently runs under (absent in stores
-    # written before budgets were state-tracked): the applied record is
-    # audited against it, not its creation-time snapshot.  A bad budget
-    # field degrades to the snapshot audit without dropping the stack.
-    if state.get("memory_bytes") is not None:
-        try:
-            memory = int(state["memory_bytes"])
-        except (TypeError, ValueError):
-            extra.append(
-                f"state: memory_bytes {state['memory_bytes']!r} is not an "
-                "integer"
-            )
-    report = validator.validate_history(
-        records,
-        stack,
-        stored=stored,
-        subject=f"deployment:{name}",
-        memory_bytes=memory,
-    )
-    payload = report.to_dict()
-    payload["extra_errors"] = extra
-    payload["num_records"] = len(records)
-    payload["applied_version"] = stack[-1] if stack else None
-    errors = [f"{e.code}: {e.message}" for e in report.errors] + extra
-    return payload, errors
-
-
 def _cmd_validate(args) -> int:
+    from repro.provenance import rerun_validator
     from repro.validation import PlanValidator
 
     if not args.store and not args.bundle_store:
@@ -1787,7 +1710,20 @@ def _cmd_validate(args) -> int:
             )
             return 1
         for name in names:
-            payload, errors = _validate_deployment_unit(store, name, validator)
+            # Re-derived from the stored JSON alone — no engine or
+            # bundle — so a store the serving process cannot even load
+            # (e.g. after a bundle mismatch) is still validated.
+            stored = store.read_deployment(name)
+            report, read_errors = rerun_validator(stored, validator)
+            errors = [f"{e.code}: {e.message}" for e in report.errors] + read_errors
+            stack = stored.state.applied_stack
+            payload = report.to_dict()
+            payload.update(
+                ok=not errors,
+                extra_errors=read_errors,
+                num_records=len(stored.records),
+                applied_version=stack[-1] if stack else None,
+            )
             units.append((f"deployment:{name}", payload, errors))
 
     if args.bundle_store:

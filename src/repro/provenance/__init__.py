@@ -22,6 +22,7 @@ from repro.provenance.audit import (
     AuditReport,
     audit_deployment,
     audit_store,
+    rerun_validator,
 )
 from repro.provenance.chain import (
     STAMP_SOURCES,
@@ -54,6 +55,7 @@ __all__ = [
     "link_record",
     "raw_digest",
     "record_digest",
+    "rerun_validator",
     "stamp_fingerprint",
     "state_digest",
     "state_stamp",

@@ -38,26 +38,30 @@ operator should restore from backup.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.provenance.chain import (
     ProvenanceLink,
     chain_digest,
     content_digest,
     genesis_digest,
-    link_digest_of_payload,
-    raw_digest,
     record_digest,
     stamp_fingerprint,
+    stored_link_digest,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, no runtime cycle
-    from repro.api.store import PlanStore
-    from repro.validation.invariants import PlanValidator
+    from repro.api.store import PlanStore, StoredDeployment, StoredRecord, StoredState
+    from repro.validation.invariants import PlanValidator, ValidationReport
 
-__all__ = ["AuditFinding", "AuditReport", "audit_deployment", "audit_store"]
+__all__ = [
+    "AuditFinding",
+    "AuditReport",
+    "audit_deployment",
+    "audit_store",
+    "rerun_validator",
+]
 
 
 @dataclass(frozen=True)
@@ -200,40 +204,27 @@ class _Walker:
 
 def _walk_record(
     walker: _Walker,
-    version: int,
-    raw: bytes | None,
+    stored: "StoredRecord",
     genesis: str | None,
     stored_versions: Sequence[int],
-) -> Mapping[str, Any] | None:
+) -> None:
     """Verify one stored record's digests and chain link.
 
-    Registers the digest successors commit to for ``version`` and
-    returns the parsed payload (``None`` when the file is unreadable).
+    Registers the digest successors commit to for the record's version.
     """
-    if raw is None:
+    version, payload = stored.version, stored.payload
+    # A successor written after recovery chained over a torn file's raw
+    # bytes; registering them keeps its link verifiable.
+    digest = stored_link_digest(stored)
+    if digest is not None:
+        walker.registered[version] = digest
+    if payload is None:
         walker.error(
             "chain/unreadable-record",
             version,
-            f"plan record v{version} cannot be read",
+            f"plan record v{version} is unreadable ({stored.error})",
         )
-        return None
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"expected an object, got {type(payload).__name__}")
-    except Exception as exc:  # noqa: BLE001 — any parse failure is a finding
-        walker.error(
-            "chain/unreadable-record",
-            version,
-            f"plan record v{version} does not parse "
-            f"({type(exc).__name__}: {exc})",
-        )
-        # A successor written after recovery chained over this file's
-        # raw bytes; register them so its link stays verifiable.
-        walker.registered[version] = raw_digest(raw)
-        return None
-
-    walker.registered[version] = link_digest_of_payload(payload)
+        return
 
     claimed_version = payload.get("version")
     if claimed_version != version:
@@ -253,7 +244,7 @@ def _walk_record(
             f"record v{version} predates the provenance chain "
             "(no chain fields); identified by content digest",
         )
-        return payload
+        return
     try:
         link = ProvenanceLink.from_dict(provenance)
     except Exception as exc:  # noqa: BLE001 — malformed chain fields
@@ -263,7 +254,7 @@ def _walk_record(
             f"record v{version} carries malformed provenance "
             f"({type(exc).__name__}: {exc})",
         )
-        return payload
+        return
 
     actual_content = content_digest(payload)
     if link.content_digest != actual_content:
@@ -393,51 +384,41 @@ def _walk_record(
                 "tree (code evolved since)",
                 stamped=stamped_fp,
             )
-    return payload
 
 
 def _walk_state(
     walker: _Walker,
-    state: Mapping[str, Any] | None,
+    state: "StoredState",
     genesis: str | None,
-) -> tuple[list[int], int | None]:
+) -> None:
     """Verify the mutable state's provenance stamp.
 
-    Returns the applied stack and memory budget for the validator
-    re-run.
+    A state with fields that do not decode cannot be checked against
+    its stamp: each such field is its own finding, and the stamp check
+    is skipped rather than cascading into a mismatch.
     """
     from repro.provenance.chain import state_digest
 
-    if state is None:
-        walker.error(
-            "chain/state-unreadable", None, "deployment state cannot be read"
-        )
-        return [], None
-    try:
-        stack = [int(v) for v in state.get("applied_stack", [])]
-    except (TypeError, ValueError):
-        walker.error(
-            "chain/state-unreadable",
-            None,
-            f"applied_stack {state.get('applied_stack')!r} is not a list "
-            "of integers",
-        )
-        return [], None
-    memory = state.get("memory_bytes")
-    memory = int(memory) if memory is not None else None
+    for error in state.errors.values():
+        walker.error("chain/state-unreadable", None, f"deployment state: {error}")
+    if state.errors:
+        return
+    stack, memory = list(state.applied_stack), state.memory_bytes
 
-    stamp = state.get("provenance")
+    stamp = state.provenance
     if stamp is None:
         walker.advise(
             "chain/legacy-state",
             None,
             "deployment state predates the provenance chain (no stamp)",
         )
-        return stack, memory
+        return
     try:
-        anchor_version = int(stamp["anchor_version"])
-        anchor_digest = str(stamp["anchor_digest"])
-        digest = str(stamp["digest"])
+        anchor_version = stamp["anchor_version"]
+        anchor_digest, digest = stamp["anchor_digest"], stamp["digest"]
+        # No coercion: an anchor of 2.7 or "2" must not pass as v2.
+        if type(anchor_version) is not int or {type(anchor_digest), type(digest)} != {str}:
+            raise TypeError("anchor_version must be an int, digests strings")
     except Exception as exc:  # noqa: BLE001 — malformed stamp
         walker.error(
             "chain/state-mismatch",
@@ -445,7 +426,7 @@ def _walk_state(
             f"deployment state carries a malformed provenance stamp "
             f"({type(exc).__name__}: {exc})",
         )
-        return stack, memory
+        return
 
     expected = state_digest(stack, memory, anchor_version, anchor_digest)
     if digest != expected:
@@ -502,60 +483,48 @@ def _walk_state(
             top,
             f"record v{top} is missing but the state stamp anchors it",
         )
-    return stack, memory
 
 
-def _rerun_validator(
-    walker: _Walker,
-    payloads: Mapping[int, Mapping[str, Any]],
-    stack: Sequence[int],
-    memory: int | None,
-    validator: "PlanValidator",
-) -> None:
-    """Re-run the offline invariant suite, folding violations in.
+def rerun_validator(
+    stored: "StoredDeployment", validator: "PlanValidator"
+) -> tuple["ValidationReport", list[str]]:
+    """Re-run the offline invariant suite over one stored deployment.
 
-    Mirrors ``repro validate``'s offline unit: records re-built from
-    the parseable stored payloads, byte-identity against the store, the
-    applied stack, transitions — no engine needed.
+    The audit's last step and ``repro validate --store``'s whole unit: no
+    engine needed.  A payload that does not deserialize is a
+    ``record/deserialize`` violation.  Returns the report and the
+    reader's errors (the damage the validator never saw).
     """
     from repro.api.service import PlanRecord
+    from repro.validation.invariants import ValidationError, ValidationReport
 
-    records = []
-    for version in sorted(payloads):
+    subject = f"deployment:{stored.name}"
+    payloads = stored.payloads
+    records, failures = [], []
+    for version, payload in payloads.items():
         try:
-            records.append(PlanRecord.from_dict(payloads[version]))
+            records.append(PlanRecord.from_dict(payload))
         except Exception as exc:  # noqa: BLE001 — parse failure is a finding
-            walker.error(
-                "record/deserialize",
-                version,
-                f"record v{version} does not deserialize "
-                f"({type(exc).__name__}: {exc})",
+            failures.append(
+                ValidationError(
+                    "record/deserialize",
+                    f"record v{version} does not deserialize "
+                    f"({type(exc).__name__}: {exc})",
+                    {"version": version},
+                )
             )
-    report = validator.validate_history(
-        records,
-        list(stack),
-        stored={v: dict(p) for v, p in payloads.items()},
-        subject=f"deployment:{walker.name}",
-        memory_bytes=memory,
-    )
-    # The validator names the version a record *claims*; a tampered
-    # version field would misdirect first_broken_version at a version
-    # with no file to restore.  Blame the file that makes the claim.
-    claimed_to_file = {}
-    for file_version in sorted(payloads):
-        claimed = payloads[file_version].get("version")
-        if isinstance(claimed, int) and claimed != file_version:
-            claimed_to_file.setdefault(claimed, file_version)
-    for error in report.errors:
-        version = error.context.get("version")
-        if isinstance(version, int) and version not in payloads:
-            version = claimed_to_file.get(version, version)
-        walker.error(
-            error.code,
-            version if isinstance(version, int) else None,
-            error.message,
-            **{k: v for k, v in error.context.items() if k != "version"},
+    report = ValidationReport(
+        subject, ("record/deserialize",), tuple(failures)
+    ).merged(
+        validator.validate_history(
+            records,
+            list(stored.state.applied_stack),
+            stored=payloads,
+            subject=subject,
+            memory_bytes=stored.state.memory_bytes,
         )
+    )
+    return report, stored.errors
 
 
 def audit_deployment(
@@ -564,6 +533,9 @@ def audit_deployment(
     validator: "PlanValidator | None" = None,
 ) -> AuditReport:
     """Audit one deployment's stored history offline.
+
+    Every file :meth:`~repro.api.store.PlanStore.read_deployment` could
+    not decode is a finding.
 
     Args:
         store: the plan store to walk (no engine or bundle is loaded).
@@ -582,52 +554,54 @@ def audit_deployment(
     from repro.validation.invariants import PlanValidator
 
     if not store.has_deployment(name):
-        # Reuse the store's canonical unknown-deployment error.
-        store.load_meta(name)
+        raise FileNotFoundError(
+            f"no deployment named {name!r} in store {store.root} "
+            f"(known: {store.names() or 'none'})"
+        )
+    stored = store.read_deployment(name)
     walker = _Walker(name)
 
-    genesis: str | None
-    try:
-        meta = store.load_meta(name)
-        genesis = genesis_digest(meta)
-    except Exception as exc:  # noqa: BLE001 — corrupt metadata is a finding
+    genesis: str | None = None
+    if stored.meta is None:
         walker.error(
             "chain/meta-unreadable",
             None,
-            f"deployment metadata cannot be read "
-            f"({type(exc).__name__}: {exc})",
+            f"deployment metadata cannot be read ({stored.meta_error})",
         )
-        genesis = None
+    else:
+        genesis = genesis_digest(stored.meta)
 
-    stored_versions = store.versions(name)
-    payloads: dict[int, Mapping[str, Any]] = {}
-    for version in stored_versions:
-        try:
-            raw: bytes | None = store.read_record_bytes(name, version)
-        except Exception:  # noqa: BLE001 — listed but unreadable
-            raw = None
-        payload = _walk_record(walker, version, raw, genesis, stored_versions)
-        if payload is not None:
-            payloads[version] = payload
+    stored_versions = [r.version for r in stored.records]
+    for record in stored.records:
+        _walk_record(walker, record, genesis, stored_versions)
+    _walk_state(walker, stored.state, genesis)
 
-    state: Mapping[str, Any] | None
-    try:
-        state = store.load_state(name)
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"expected an object, got {type(state).__name__}"
-            )
-    except Exception:  # noqa: BLE001 — corrupt state is a finding
-        state = None
-    stack, memory = _walk_state(walker, state, genesis)
-
-    _rerun_validator(walker, payloads, stack, memory, validator or PlanValidator())
+    report, _ = rerun_validator(stored, validator or PlanValidator())
+    # The validator names the version a record *claims*; a tampered
+    # version field would misdirect first_broken_version at a version
+    # with no file to restore.  Blame the file that makes the claim.
+    payloads = stored.payloads
+    claimed_to_file = {}
+    for file_version in sorted(payloads):
+        claimed = payloads[file_version].get("version")
+        if isinstance(claimed, int) and claimed != file_version:
+            claimed_to_file.setdefault(claimed, file_version)
+    for error in report.errors:
+        version = error.context.get("version")
+        if isinstance(version, int) and version not in payloads:
+            version = claimed_to_file.get(version, version)
+        walker.error(
+            error.code,
+            version if isinstance(version, int) else None,
+            error.message,
+            **{k: v for k, v in error.context.items() if k != "version"},
+        )
 
     return AuditReport(
         deployment=name,
         findings=tuple(walker.findings),
         versions=tuple(stored_versions),
-        applied_stack=tuple(stack),
+        applied_stack=stored.state.applied_stack,
         code_fingerprint=stamp_fingerprint(),
     )
 

@@ -239,6 +239,16 @@ def link_digest_of_payload(payload: Mapping[str, Any]) -> str:
     return content_digest(payload)
 
 
+def stored_link_digest(stored: Any) -> str | None:
+    """The digest a successor commits to for a stored record file (a
+    :class:`~repro.api.store.StoredRecord`): its payload's link digest,
+    its raw bytes' digest when it is torn (the chain accounts for damage
+    instead of skipping it), ``None`` when it cannot be read at all."""
+    if stored.payload is not None:
+        return link_digest_of_payload(stored.payload)
+    return None if stored.raw is None else raw_digest(stored.raw)
+
+
 def state_digest(
     applied_stack: list[int],
     memory_bytes: Any,

@@ -61,6 +61,43 @@ class TestWorkloadDelta:
         with pytest.raises(ValueError, match="schema version"):
             WorkloadDelta.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"remove_table_id": [3]}, "unknown WorkloadDelta keys"),
+            ({"remove_table_ids": [3.9]}, "must be a list of ints"),
+            ({"remove_table_ids": [True]}, "must be a list of ints"),
+            ({"remove_table_ids": ["3"]}, "must be a list of ints"),
+            ({"remove_table_ids": 3}, "must be a list of ints"),
+        ],
+    )
+    def test_from_dict_is_strict(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            WorkloadDelta.from_dict({"schema_version": 1, **payload})
+
+    def test_partial_payload_keeps_defaults(self):
+        restored = WorkloadDelta.from_dict(
+            {"schema_version": 1, "remove_table_ids": [3], "drift": None}
+        )
+        assert restored == WorkloadDelta(remove_table_ids=(3,))
+
+    def test_stored_record_delta_round_trips(self, engine, tasks2):
+        """The delta a reshard record stores is what the validator
+        reads back (``metadata["delta"]``), after a JSON round trip."""
+        service = ShardingService()
+        service.create_deployment("prod", engine, tables=tasks2[0].tables)
+        service.plan("prod", strategy="dim_greedy")
+        service.apply("prod")
+        delta = WorkloadDelta(
+            add_tables=_fresh_tables(tasks2, count=1),
+            remove_table_ids=(tasks2[0].tables[0].table_id,),
+        )
+        record = service.reshard(
+            "prod", delta, ReshardConfig(allow_full_search=False)
+        )
+        stored = json.loads(json.dumps(record.to_dict()))["metadata"]["delta"]
+        assert WorkloadDelta.from_dict(stored) == delta
+
     def test_empty_flag(self, tasks2):
         assert WorkloadDelta().is_empty
         assert not WorkloadDelta(add_tables=(tasks2[0].tables[0],)).is_empty

@@ -114,6 +114,49 @@ class TestRoutes:
         assert status == 400
         assert message in payload["error"]
 
+    @pytest.mark.parametrize("apply", ["false", 0, "yes"])
+    def test_reshard_apply_must_be_a_bool(self, server, apply):
+        _post(server, "/v1/deployments/prod/plan", {})
+        _post(server, "/v1/deployments/prod/apply", {})
+        delta = {"schema_version": 1, "remove_table_ids": [], "drift": None}
+        status, payload = _post(
+            server,
+            "/v1/deployments/prod/reshard",
+            {"delta": delta, "apply": apply},
+        )
+        assert status == 400
+        assert "'apply' must be a JSON bool" in payload["error"]
+        # Nothing was resharded, let alone applied.
+        _, state = _get(server, "/v1/deployments/prod/status")
+        assert state["num_records"] == 1 and state["applied_version"] == 1
+
+    @pytest.mark.parametrize("version", [2.9, True, "2"])
+    def test_apply_version_must_be_an_int(self, server, version):
+        _post(server, "/v1/deployments/prod/plan", {})
+        _post(server, "/v1/deployments/prod/plan", {})
+        status, payload = _post(
+            server, "/v1/deployments/prod/apply", {"version": version}
+        )
+        assert status == 400
+        assert "'version' must be a JSON int" in payload["error"]
+        _, state = _get(server, "/v1/deployments/prod/status")
+        assert state["applied_version"] is None
+
+    @pytest.mark.parametrize("memory_bytes", [1.5e9, True, "4096"])
+    def test_create_memory_bytes_must_be_an_int(
+        self, server, tasks2, memory_bytes
+    ):
+        body = {
+            "name": "canary",
+            "tables": [table_to_dict(t) for t in tasks2[2].tables],
+            "memory_bytes": memory_bytes,
+        }
+        status, payload = _post(server, "/v1/deployments", body)
+        assert status == 400
+        assert "'memory_bytes' must be a JSON int" in payload["error"]
+        _, listing = _get(server, "/v1/deployments")
+        assert listing["deployments"] == ["prod"]
+
 
 class TestLifecycleOverHTTP:
     def test_plan_apply_reshard_rollback_round_trip(self, server, tasks2):

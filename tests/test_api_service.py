@@ -253,7 +253,7 @@ class TestPersistence:
         service.create_deployment(
             "prod", engine, tables=tasks2[0].tables, bundle_ref="b@v1"
         )
-        meta = store.load_meta("prod")
+        meta = store.read_deployment("prod").meta
         assert meta["name"] == "prod"
         assert meta["bundle_ref"] == "b@v1"
         assert meta["num_devices"] == engine.cluster.num_devices

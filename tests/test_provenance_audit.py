@@ -162,6 +162,18 @@ class TestTamperLocalization:
         assert report.first_broken_version == 4
         assert "chain/broken-link" in report.error_codes
 
+    @pytest.mark.parametrize("anchor", [2.7, "2", True])
+    def test_coercible_stamp_anchor_is_malformed(self, store_copy, anchor):
+        """The applied stack tops out at v2: an anchor that only int()
+        would read as v2 is a malformed stamp, not a match."""
+        state_path = store_copy.root / "prod" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["provenance"]["anchor_version"] = anchor
+        state_path.write_text(json.dumps(state, indent=2))
+        report = audit_deployment(store_copy, "prod")
+        assert "chain/state-mismatch" in report.error_codes
+        assert any("malformed provenance stamp" in f.message for f in report.errors)
+
     def test_truncated_applied_stack_is_detected(self, store_copy):
         state_path = store_copy.root / "prod" / "state.json"
         state = json.loads(state_path.read_text())

@@ -147,7 +147,7 @@ class TestSharedFingerprint:
 class TestServiceWiring:
     def test_records_carry_verifiable_links(self, lifecycle):
         store, service = lifecycle
-        meta = store.load_meta("prod")
+        meta = store.read_deployment("prod").meta
         genesis = genesis_digest(meta)
         v1 = store.load_record("prod", 1)
         v2 = store.load_record("prod", 2)
@@ -166,13 +166,13 @@ class TestServiceWiring:
 
     def test_state_is_stamped_and_anchored(self, lifecycle):
         store, _ = lifecycle
-        state = store.load_state("prod")
-        stamp = state["provenance"]
+        state = store.read_deployment("prod").state
+        stamp = state.provenance
         assert stamp["anchor_version"] == 2
         v2 = store.load_record("prod", 2)
         assert stamp["anchor_digest"] == v2["provenance"]["chain_digest"]
         assert stamp["digest"] == state_digest(
-            state["applied_stack"], state["memory_bytes"], 2,
+            list(state.applied_stack), state.memory_bytes, 2,
             stamp["anchor_digest"],
         )
 

@@ -551,7 +551,7 @@ class TestProfileApplication:
             profile=_profile_fixture(),
         )
         store = PlanStore(tmp_path / "store")
-        meta = store.load_meta("tuned")
+        meta = store.read_deployment("tuned").meta
         meta["tuned_profile"] = _pre_batch_retirement_payload()
         store.save_meta("tuned", meta)
 
