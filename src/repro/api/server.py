@@ -66,6 +66,11 @@ _DEPLOYMENT_PATH = re.compile(
 #: Upper bound a handler thread waits for its micro-batch to be served.
 _PLAN_TIMEOUT_S = 600.0
 
+#: How often the accept loop looks for a :meth:`ShardingHTTPServer.close`
+#: request; it bounds how long ``close`` waits (socketserver's default
+#: of 0.5 s made every close take half a second on an idle server).
+_SHUTDOWN_POLL_S = 0.05
+
 
 def _body_field(body: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
     """``body[key]`` when it is exactly a JSON ``kind`` (no coercion:
@@ -556,7 +561,10 @@ class ShardingHTTPServer(ThreadingHTTPServer):
         """Serve in a background thread (tests, embedding)."""
         self.batcher.start()
         self._thread = threading.Thread(
-            target=self.serve_forever, name="sharding-http", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
+            name="sharding-http",
+            daemon=True,
         )
         self._thread.start()
 
@@ -564,7 +572,7 @@ class ShardingHTTPServer(ThreadingHTTPServer):
         """Serve on the calling thread until interrupted (the CLI path)."""
         self.batcher.start()
         try:
-            self.serve_forever()
+            self.serve_forever(poll_interval=_SHUTDOWN_POLL_S)
         except KeyboardInterrupt:  # pragma: no cover — interactive only
             pass
         finally:

@@ -116,7 +116,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("apply", ["false", 0, "yes"])
     def test_reshard_apply_must_be_a_bool(self, server, apply):
-        _post(server, "/v1/deployments/prod/plan", {})
+        _post(server, "/v1/deployments/prod/plan", {"strategy": "dim_greedy"})
         _post(server, "/v1/deployments/prod/apply", {})
         delta = {"schema_version": 1, "remove_table_ids": [], "drift": None}
         status, payload = _post(
@@ -132,8 +132,8 @@ class TestRoutes:
 
     @pytest.mark.parametrize("version", [2.9, True, "2"])
     def test_apply_version_must_be_an_int(self, server, version):
-        _post(server, "/v1/deployments/prod/plan", {})
-        _post(server, "/v1/deployments/prod/plan", {})
+        _post(server, "/v1/deployments/prod/plan", {"strategy": "dim_greedy"})
+        _post(server, "/v1/deployments/prod/plan", {"strategy": "dim_greedy"})
         status, payload = _post(
             server, "/v1/deployments/prod/apply", {"version": version}
         )
