@@ -1,9 +1,10 @@
 """Shared benchmark fixtures.
 
 The benchmarks regenerate every table and figure of the paper's
-evaluation (see DESIGN.md's experiment index).  They are scaled down from
-the paper's sizes (100K training samples, 100 tasks per setting) so the
-whole suite runs in tens of minutes on a laptop; the *shape* of every
+evaluation (see "Where each paper table / figure is produced" in
+docs/architecture.md).  They are scaled down from the paper's sizes
+(100K training samples, 100 tasks per setting) so the whole suite
+runs in tens of minutes on a laptop; the *shape* of every
 result — who wins, by roughly what factor, where methods stop scaling —
 is preserved.  Scale knobs:
 

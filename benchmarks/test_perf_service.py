@@ -6,56 +6,39 @@ seeded, deterministic mix of ``plan`` / ``apply`` / ``reshard`` /
 over several store-backed deployments — in two configurations:
 
 - **single-worker**: every search runs in-process, on the server's own
-  interpreter (the pre-PR serving plane, GIL-bound to one core);
+  interpreter (GIL-bound to one core);
 - **multi-worker**: the same traffic with a shared
   :class:`~repro.api.workers.WorkerPool` of shared-nothing worker
   processes behind every deployment's engine.
 
 Reported per configuration: sustained requests/sec over the timed phase
-(warm-up excluded) and p50/p99 per-request latency.  Before any timing,
-the harness pins the serving contract that makes the comparison
-meaningful: pool execution must be **bit-identical** to in-process
-execution (``deterministic_dict``), and after the storm every
-deployment must sweep clean under ``validate_deployment``.
+(warm-up excluded) and p50/p99 per-request latency.  The table is
+printed; no file is written.  Pool-vs-in-process bit identity is pinned
+for every registered strategy by ``tests/test_api_workers.py``, not
+here.
 
-Gates:
+Every request must answer 200, except the 400s the lifecycle allows
+(``_ALLOWED_400``: a rollback with one applied version).  At least one
+reshard must answer 200, and after the storm every deployment must
+sweep clean under ``validate_deployment``.
 
-- **scaling** (armed only on a >=4-core machine with >=2 pool workers —
-  a single-core box physically cannot demonstrate parallel speedup):
-  multi-worker throughput must be >=``REPRO_SERVICE_MIN_SCALING``x the
-  single-worker run at comparable p99
-  (``p99_multi <= p99_single * REPRO_SERVICE_P99_FACTOR``).
-- **regression**: multi-worker requests/sec must stay within
-  ``REPRO_PERF_REGRESSION_FACTOR`` of the **median** of the committed
-  runs in ``benchmarks/BENCH_service.json`` measured with the same
-  configuration on the same OS family, architecture, and cpu count
-  (throughput is machine-dependent; the cpu count is part of the
-  machine identity here because the whole point of the pool is to use
-  the cores).  Runs are appended to the log only after every gate
-  passed, and the log is bounded to the last 50 runs.
+Gates, all against the same run:
 
-Scale knobs (environment):
-
-- ``REPRO_SERVICE_PERF_CLIENTS``     — client threads (default 6).
-- ``REPRO_SERVICE_PERF_REQUESTS``    — timed requests per client (default 4).
-- ``REPRO_SERVICE_PERF_DEPLOYMENTS`` — deployments served (default 2).
-- ``REPRO_SERVICE_PERF_WORKERS``     — pool size of the multi-worker
-  configuration (default: min(4, cpu count)).
-- ``REPRO_SERVICE_MIN_SCALING``      — required multi/single throughput
-  ratio when the scaling gate is armed (default 3.0).
-- ``REPRO_SERVICE_P99_FACTOR``       — tolerated p99 inflation of the
-  multi-worker run vs. single-worker (default 1.25).
-- ``REPRO_PERF_REGRESSION_FACTOR``   — tolerated throughput regression
-  vs. the committed median (default 2.0).
+- **floor**: pool requests/sec >= in-process requests/sec /
+  ``FLOOR_FACTOR`` (a pool that serves the same traffic at under half
+  the in-process rate is broken, on any machine);
+- **scaling** (armed only on a >=4-core machine — a 1- or 2-core box
+  physically cannot demonstrate parallel speedup): pool throughput must
+  be >=``MIN_SCALING``x the in-process run at comparable p99
+  (``p99_pool <= p99_single * P99_FACTOR``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import platform
 import random
-import statistics
 import threading
 import time
 import urllib.error
@@ -64,62 +47,56 @@ import urllib.request
 import pytest
 
 from benchmarks.conftest import (
-    BENCH_DIR,
     SEARCH_4GPU,
     TASK_MEMORY_BYTES,
     bundle_cache_path,
     make_cluster,
-    record_result,
 )
 from repro.api import (
     EngineSpec,
     PlanStore,
     ShardingEngine,
     ShardingHTTPServer,
-    ShardingRequest,
     ShardingService,
     WorkerPool,
 )
+from repro.api.reshard import WorkloadDelta
 from repro.config import ClusterConfig, TaskConfig
 from repro.data import generate_tasks
-from repro.data.io import table_to_dict
 from repro.evaluation import format_text_table
 
 pytestmark = pytest.mark.perf
 
-BENCH_JSON = BENCH_DIR / "BENCH_service.json"
-
-CLIENTS = int(os.environ.get("REPRO_SERVICE_PERF_CLIENTS", "6"))
-REQUESTS = int(os.environ.get("REPRO_SERVICE_PERF_REQUESTS", "4"))
-DEPLOYMENTS = int(os.environ.get("REPRO_SERVICE_PERF_DEPLOYMENTS", "2"))
+CLIENTS = 6
+REQUESTS = 4  # timed requests per client
+DEPLOYMENTS = 2
 #: At least 2 even on a single-core machine: the multi-worker run must
-#: measure the *process-pool* serving plane (scaling is gated
-#: separately), never silently fall back to the in-process path.
-POOL_WORKERS = int(
-    os.environ.get(
-        "REPRO_SERVICE_PERF_WORKERS",
-        str(min(4, max(2, os.cpu_count() or 1))),
-    )
-)
-MIN_SCALING = float(os.environ.get("REPRO_SERVICE_MIN_SCALING", "3.0"))
-P99_FACTOR = float(os.environ.get("REPRO_SERVICE_P99_FACTOR", "1.25"))
-REGRESSION_FACTOR = float(
-    os.environ.get("REPRO_PERF_REGRESSION_FACTOR", "2.0")
-)
+#: measure the *process-pool* serving plane, never silently fall back
+#: to the in-process path.
+POOL_WORKERS = min(4, max(2, os.cpu_count() or 1))
+MIN_SCALING = 3.0
+P99_FACTOR = 1.25
+FLOOR_FACTOR = 2.0
 PERF_SEED = 4242
 
-#: The scaling gate needs cores to scale onto and a real pool to do it
-#: with; a 1-core container running this benchmark still measures and
-#: logs, it just cannot assert a parallel speedup it cannot produce.
-SCALING_GATE_ARMED = (os.cpu_count() or 1) >= 4 and POOL_WORKERS >= 2
+#: The scaling gate needs cores to scale onto; a smaller box still
+#: measures, it just cannot assert a parallel speedup it cannot produce.
+SCALING_GATE_ARMED = (os.cpu_count() or 1) >= 4
 
 #: The traffic mix, deterministic per client thread (seeded schedule):
 #: search-heavy, with enough lifecycle churn to exercise the store.
 _OPS = ("plan", "plan", "plan", "apply", "reshard", "rollback")
 _STRATEGIES = ("beam", "dim_greedy", "lookup_greedy")
 
+#: The 400s a correct server gives this traffic, by verb: the error
+#: message fragment of each.  Any other 400 is a failure.
+_ALLOWED_400 = {
+    "rollback": "has no earlier applied version to roll back to",
+}
 
-def _post(base: str, path: str, body: dict) -> int:
+
+def _post(base: str, path: str, body: dict) -> tuple[int, str]:
+    """POST ``body``; the status, and the error body of a non-200."""
     request = urllib.request.Request(
         f"{base}{path}",
         data=json.dumps(body).encode("utf-8"),
@@ -128,10 +105,9 @@ def _post(base: str, path: str, body: dict) -> int:
     try:
         with urllib.request.urlopen(request, timeout=600) as resp:
             resp.read()
-            return resp.status
+            return resp.status, ""
     except urllib.error.HTTPError as exc:
-        exc.read()
-        return exc.code
+        return exc.code, exc.read().decode("utf-8", "replace")
 
 
 def _client_schedule(client_id: int, count: int, spare_tables):
@@ -143,21 +119,13 @@ def _client_schedule(client_id: int, count: int, spare_tables):
         name = f"dep{(client_id + i) % DEPLOYMENTS}"
         if op == "plan":
             body = {"strategy": _STRATEGIES[rng.randrange(len(_STRATEGIES))]}
-        elif op == "apply":
-            body = {}
         elif op == "reshard":
             table = spare_tables[rng.randrange(len(spare_tables))]
+            added = dataclasses.replace(
+                table, table_id=500_000 + 1_000 * client_id + i
+            )
             body = {
-                "delta": {
-                    "add_tables": [
-                        dict(
-                            table_to_dict(table),
-                            table_id=500_000
-                            + 1_000 * client_id
-                            + i,
-                        )
-                    ]
-                },
+                "delta": WorkloadDelta(add_tables=(added,)).to_dict(),
                 "strategy": "dim_greedy",
             }
         else:
@@ -191,33 +159,38 @@ def _run_config(bundle, spec: EngineSpec, tasks, workers: int, store_root):
         # Warm-up (untimed): one plan+apply per deployment primes every
         # worker's engine and gives apply/rollback a feasible record.
         for index in range(DEPLOYMENTS):
-            assert _post(
-                base,
-                f"/v1/deployments/dep{index}/plan",
-                {"strategy": "dim_greedy"},
-            ) == 200
-            assert _post(
-                base, f"/v1/deployments/dep{index}/apply", {}
-            ) == 200
+            for verb, body in (("plan", {"strategy": "dim_greedy"}),
+                               ("apply", {})):
+                status, error = _post(
+                    base, f"/v1/deployments/dep{index}/{verb}", body
+                )
+                assert status == 200, f"warm-up {verb}: {status} {error}"
 
         latencies: list[float] = []
         failures: list[str] = []
+        reshards_ok = 0
         lock = threading.Lock()
 
         def client(client_id: int) -> None:
+            nonlocal reshards_ok
             mine = []
             for op, name, body in _client_schedule(
                 client_id, REQUESTS, spare_tables
             ):
                 started = time.perf_counter()
-                status = _post(base, f"/v1/deployments/{name}/{op}", body)
-                elapsed = time.perf_counter() - started
-                mine.append(elapsed)
-                # 400s are legitimate lifecycle races (rollback with an
-                # empty stack); anything else is a serving failure.
-                if status not in (200, 400):
-                    with lock:
-                        failures.append(f"{op} {name} -> {status}")
+                status, error = _post(
+                    base, f"/v1/deployments/{name}/{op}", body
+                )
+                mine.append(time.perf_counter() - started)
+                allowed = status == 200 or (
+                    status == 400
+                    and op in _ALLOWED_400
+                    and _ALLOWED_400[op] in error
+                )
+                with lock:
+                    reshards_ok += op == "reshard" and status == 200
+                    if not allowed:
+                        failures.append(f"{op} {name} -> {status} {error}")
             with lock:
                 latencies.extend(mine)
 
@@ -232,6 +205,7 @@ def _run_config(bundle, spec: EngineSpec, tasks, workers: int, store_root):
             t.join()
         wall_s = time.perf_counter() - started
         assert failures == [], failures
+        assert reshards_ok >= 1, "no reshard of the storm answered 200"
 
         # Every deployment produced under the storm validates clean.
         for index in range(DEPLOYMENTS):
@@ -241,8 +215,8 @@ def _run_config(bundle, spec: EngineSpec, tasks, workers: int, store_root):
         latencies.sort()
         total = len(latencies)
         return {
-            "workers": workers,
             "requests": total,
+            "reshards_ok": reshards_ok,
             "wall_s": round(wall_s, 4),
             "requests_per_sec": round(total / wall_s, 3),
             "p50_ms": round(1000 * latencies[total // 2], 3),
@@ -259,15 +233,6 @@ def _run_config(bundle, spec: EngineSpec, tasks, workers: int, store_root):
 
 
 def test_perf_service_throughput(pool856, bundle4, tmp_path):
-    config = {
-        "clients": CLIENTS,
-        "requests_per_client": REQUESTS,
-        "deployments": DEPLOYMENTS,
-        "pool_workers": POOL_WORKERS,
-        "num_devices": 4,
-        "seed": PERF_SEED,
-        "search": "paper N=10 K=3 L=10 M=11",
-    }
     task_cfg = TaskConfig(
         num_devices=4,
         max_dim=64,
@@ -286,37 +251,24 @@ def test_perf_service_throughput(pool856, bundle4, tmp_path):
         search=SEARCH_4GPU,
     )
 
-    # Contract before timing: pool execution is bit-identical to
-    # in-process execution — otherwise the throughput comparison would
-    # be comparing different answers, not different serving planes.
-    local = ShardingEngine(make_cluster(4), bundle4, search=SEARCH_4GPU)
-    with WorkerPool(spec, max_workers=2) as probe_pool:
-        for strategy in _STRATEGIES:
-            request = ShardingRequest(tasks[0], strategy=strategy)
-            want = local.shard(request).deterministic_dict()
-            got = probe_pool.shard(request).deterministic_dict()
-            want["request_id"] = got["request_id"]
-            assert got == want, f"pool diverged from in-process: {strategy}"
-
     single = _run_config(bundle4, spec, tasks, 1, tmp_path / "w1")
     multi = _run_config(
         bundle4, spec, tasks, POOL_WORKERS, tmp_path / "wN"
     )
     scaling = multi["requests_per_sec"] / single["requests_per_sec"]
 
-    record_result(
-        "perf_service",
-        format_text_table(
-            ["configuration", "requests", "wall (s)", "req/s",
-             "p50 (ms)", "p99 (ms)"],
+    print(
+        "\n"
+        + format_text_table(
+            ["configuration", "requests", "reshards ok", "wall (s)",
+             "req/s", "p50 (ms)", "p99 (ms)"],
             [
-                ["1 worker (in-process)", single["requests"],
-                 single["wall_s"], single["requests_per_sec"],
-                 single["p50_ms"], single["p99_ms"]],
-                [f"{POOL_WORKERS} workers (process pool)",
-                 multi["requests"], multi["wall_s"],
-                 multi["requests_per_sec"], multi["p50_ms"],
-                 multi["p99_ms"]],
+                [label, run["requests"], run["reshards_ok"], run["wall_s"],
+                 run["requests_per_sec"], run["p50_ms"], run["p99_ms"]]
+                for label, run in (
+                    ("1 worker (in-process)", single),
+                    (f"{POOL_WORKERS} workers (process pool)", multi),
+                )
             ],
             title=(
                 f"Serving plane under mixed plan/apply/reshard traffic "
@@ -325,51 +277,16 @@ def test_perf_service_throughput(pool856, bundle4, tmp_path):
                 f"{scaling:.2f}x scaling, gate "
                 f"{'armed' if SCALING_GATE_ARMED else 'disarmed'}"
             ),
-        ),
+        )
+        + "\n"
     )
 
-    baseline_rps = None
-    baseline_runs = 0
-    if BENCH_JSON.exists():
-        history = json.loads(BENCH_JSON.read_text())
-        # Same-config, same OS family/architecture/cpu-count runs only:
-        # the pool's throughput is a function of the cores it can
-        # spread onto, so a 16-core run must never become the floor a
-        # 1-core container is gated against.  Median, not latest — one
-        # fast outlier must not ratchet the floor upward.
-        system, machine = platform.system(), platform.machine()
-        cpus = os.cpu_count()
-        matching = [
-            entry["multi"]["requests_per_sec"]
-            for entry in history
-            if entry.get("config") == config
-            and entry.get("machine", {}).get("cpus") == cpus
-            and (
-                entry_platform := entry.get("machine", {}).get(
-                    "platform", ""
-                )
-            ).startswith(system)
-            and machine in entry_platform
-        ]
-        if matching:
-            baseline_rps = statistics.median(matching)
-            baseline_runs = len(matching)
-    else:
-        history = []
-
-    entry = {
-        "config": config,
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-        },
-        "single": single,
-        "multi": multi,
-        "scaling": round(scaling, 3),
-        "scaling_gate_armed": SCALING_GATE_ARMED,
-    }
-
+    floor = single["requests_per_sec"] / FLOOR_FACTOR
+    assert multi["requests_per_sec"] >= floor, (
+        f"process-pool throughput {multi['requests_per_sec']:.2f} req/s "
+        f"is below 1/{FLOOR_FACTOR} of the in-process "
+        f"{single['requests_per_sec']:.2f} req/s of the same run"
+    )
     if SCALING_GATE_ARMED:
         assert scaling >= MIN_SCALING, (
             f"{POOL_WORKERS}-worker throughput scaled only "
@@ -383,18 +300,3 @@ def test_perf_service_throughput(pool856, bundle4, tmp_path):
             f"{single['p99_ms']:.1f} ms — throughput bought with "
             f"latency is not scaling"
         )
-    if baseline_rps is not None:
-        floor = baseline_rps / REGRESSION_FACTOR
-        assert multi["requests_per_sec"] >= floor, (
-            f"sustained throughput regressed more than "
-            f"{REGRESSION_FACTOR}x: {multi['requests_per_sec']:.2f} "
-            f"req/s vs the median {baseline_rps:.2f} req/s of "
-            f"{baseline_runs} committed same-config/machine runs"
-        )
-
-    # Record the run only after every gate passed: failing runs must not
-    # enter the history, or repeated failing reruns would drag the
-    # median floor down until the regression legitimizes itself.
-    history.append(entry)
-    history = history[-50:]  # bound the trajectory file
-    BENCH_JSON.write_text(json.dumps(history, indent=1) + "\n")

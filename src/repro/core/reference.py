@@ -19,8 +19,8 @@ It exists for two reasons and must not be "improved":
    (``tests/test_search_equivalence.py`` pins this on seeded small /
    medium / infeasible task mixes).
 2. **Performance baseline**: ``benchmarks/test_perf_search.py`` measures
-   the optimized search's speedup against this implementation and tracks
-   the trajectory in ``BENCH_search.json``.
+   the optimized search's speedup against this implementation and gates
+   it at 12x.
 
 Why equivalence holds (and is tested rather than assumed): the optimized
 paths reuse the same cached feature rows in the same placement order, so

@@ -4,8 +4,9 @@ Section 2.1 argues the computation cost depends on four factor groups —
 dimension, hash size, pooling factor and the indices distribution.  This
 module ablates feature groups from the featurizer so a benchmark can
 train otherwise-identical cost models and quantify each group's
-contribution to accuracy (DESIGN.md's "ablation benches for the design
-choices").
+contribution to accuracy (``benchmarks/test_ext_ablations.py``, listed
+under "Where each paper table / figure is produced" in
+docs/architecture.md).
 """
 
 from __future__ import annotations
