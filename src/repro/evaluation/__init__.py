@@ -10,7 +10,8 @@ out-of-memory (the "-" entries of Table 1).
 - :mod:`~repro.evaluation.metrics` — improvements, summaries.
 - :mod:`~repro.evaluation.reporting` — text/markdown tables.
 - :mod:`~repro.evaluation.production` — the production-scale experiment
-  (Table 4): embedding cost + end-to-end training throughput.
+  (Table 4): embedding cost + end-to-end training throughput; and the
+  per-step workload-trace replay of the scenario atlas.
 - :mod:`~repro.evaluation.analysis` — plan diagnostics and what-if
   probing on the cost-model simulator (bottleneck breakdowns, single
   move/split improvement scans).
@@ -30,10 +31,8 @@ from repro.evaluation.metrics import (
 from repro.evaluation.reporting import format_markdown_table, format_text_table
 from repro.evaluation.production import (
     REPLAY_SEARCH_CONFIG,
-    LifecycleRow,
     ProductionRow,
     replay_workload_trace,
-    run_lifecycle_experiment,
     run_production_experiment,
 )
 from repro.evaluation.analysis import (
@@ -61,10 +60,8 @@ __all__ = [
     "strongest_baseline",
     "format_text_table",
     "format_markdown_table",
-    "LifecycleRow",
     "ProductionRow",
     "REPLAY_SEARCH_CONFIG",
     "replay_workload_trace",
-    "run_lifecycle_experiment",
     "run_production_experiment",
 ]

@@ -1,4 +1,4 @@
-"""The production-scale experiments (Section 4.5 / Table 4 + lifecycle).
+"""The production-scale experiments (Section 4.5 / Table 4 + trace replay).
 
 **Table 4** (:func:`run_production_experiment`): the paper deploys
 NeuroShard on an ultra-large production DLRM: nearly a thousand
@@ -16,31 +16,20 @@ receive NeuroShard's column-wise plan ("we first apply the column-wise
 sharding plan proposed by NeuroShard and then run the baselines"), while
 TorchRec plans its own column splits.
 
-**Day-over-day lifecycle** (:func:`run_lifecycle_experiment`): the
-paper's deployment notes describe a *living* workload — tables are added
-and retired day over day as models iterate.  This experiment replays
-such a day-sequence through the plan-lifecycle service
-(:class:`~repro.api.service.ShardingService`): day 0 plans and applies,
-every later day mutates the workload and ``reshard``s under a migration
-budget, and each day the incremental plan is compared against the
-re-shard-from-scratch candidate evaluated from the same applied state —
-reporting per-day and cumulative migrated bytes next to the simulated
-embedding cost, i.e. how much plan quality the budget buys per byte
-*not* moved.
-
-**Trace replay** (:func:`replay_workload_trace`): the generalized form
-of the lifecycle experiment.  Any :class:`~repro.scenarios.trace
-.WorkloadTrace` — hand-written or generated by the scenario atlas
-(:mod:`repro.scenarios`) — replays end-to-end through the service:
-every step's delta reshards under the configured migration budget,
-traffic multipliers re-score the applied plan under load, memory scales
-model capacity loss, and the result is a deterministic
-:class:`~repro.scenarios.report.ScenarioReport`.
+**Trace replay** (:func:`replay_workload_trace`): any
+:class:`~repro.scenarios.trace.WorkloadTrace` — hand-written or generated
+by the scenario atlas (:mod:`repro.scenarios`) — runs through the
+discrete-event simulator (:func:`~repro.simulator.runner.simulate_policy`)
+with the ``immediate`` policy, which reshards every step's delta under
+the configured migration budget; the replay projects that run onto the
+trace's steps as a deterministic
+:class:`~repro.scenarios.report.ScenarioReport`.  Day-over-day table
+churn is the ``table_churn`` scenario.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -74,18 +63,16 @@ from repro.evaluation.runner import execute_plan
 from repro.hardware.cluster import SimulatedCluster
 
 __all__ = [
-    "LifecycleRow",
     "ProductionRow",
     "REPLAY_SEARCH_CONFIG",
     "replay_workload_trace",
-    "run_lifecycle_experiment",
     "run_production_experiment",
 ]
 
-#: Reduced search scale of the lifecycle/replay experiments (one search
-#: per day/step, not one-shot benchmark fidelity).  The CLI ``scenario``
-#: verbs and ``benchmarks/test_scenarios.py`` share this constant so
-#: their engines search identically — one of the inputs (besides
+#: Reduced search scale of the replay experiments (one search per step,
+#: not one-shot benchmark fidelity).  The CLI ``scenario`` verbs and
+#: ``benchmarks/test_scenarios.py`` share this constant so their
+#: engines search identically — one of the inputs (besides
 #: bundle, pool seed, trace seed and reshard knobs) that must match for
 #: a CLI replay to byte-reproduce a committed ``scenario_*.txt``.
 REPLAY_SEARCH_CONFIG = SearchConfig(
@@ -260,199 +247,6 @@ def run_production_experiment(
     return rows
 
 
-@dataclass(frozen=True)
-class LifecycleRow:
-    """One day of the plan-lifecycle replay.
-
-    Attributes:
-        day: 0 is the initial plan+apply; later days are reshards.
-        num_tables: logical workload size after the day's delta (column
-            shards of one table count once).
-        cost_ms: simulated embedding cost of the day's applied plan.
-        moved_mb: megabytes of surviving shards the applied plan moved.
-        migration_ms: priced migration wall-clock of the day's change.
-        scratch_cost_ms / scratch_moved_mb: the re-shard-from-scratch
-            candidate evaluated from the same applied state (nan/0 on
-            day 0 and when the candidate was infeasible).
-        cumulative_moved_mb / cumulative_scratch_moved_mb: running totals
-            of both columns.
-        chosen: which candidate the service applied.
-        within_budget: the applied plan's migration respected the
-            budget.  When *no* candidate could (the unavoidable ingress
-            of the day's added tables alone can exceed a tight budget),
-            the service applies the cheapest-migration candidate and
-            this flag is ``False`` — the row is reported, not hidden.
-    """
-
-    day: int
-    num_tables: int
-    cost_ms: float
-    moved_mb: float
-    migration_ms: float
-    scratch_cost_ms: float
-    scratch_moved_mb: float
-    cumulative_moved_mb: float
-    cumulative_scratch_moved_mb: float
-    chosen: str
-    within_budget: bool = True
-
-
-def run_lifecycle_experiment(
-    pool: TablePool,
-    num_devices: int = 8,
-    num_tables: int = 40,
-    days: int = 5,
-    add_per_day: int = 3,
-    remove_per_day: int = 2,
-    memory_bytes: int = 2 * 1024**3,
-    migration_budget_ms: float | None = None,
-    migration_lambda: float = 1e-4,
-    collection: CollectionConfig | None = None,
-    train: TrainConfig | None = None,
-    search: SearchConfig | None = None,
-    seed: int = 0,
-) -> list[LifecycleRow]:
-    """Replay a day-over-day workload through the plan-lifecycle service.
-
-    Day 0 creates a deployment, plans and applies.  Each following day
-    samples ``add_per_day`` fresh tables (new table ids, production-style
-    model iteration) and retires ``remove_per_day`` existing ones, then
-    asks the service to ``reshard`` under ``migration_budget_ms``.  The
-    from-scratch candidate is always evaluated alongside, so every row
-    reports how many bytes the incremental plan avoided moving and what
-    that costs in simulated milliseconds.
-
-    The scratch column is the *one-step* counterfactual: each day's
-    re-search is diffed against the actually-applied (incremental) plan,
-    not against a parallel scratch-only history.
-
-    Returns:
-        One row per day, day 0 first.
-    """
-    # Deferred import: repro.api is a heavier dependency than this module.
-    from repro.api import (
-        ReshardConfig,
-        ShardingEngine,
-        ShardingService,
-        WorkloadDelta,
-    )
-
-    if days < 1:
-        raise ValueError(f"days must be >= 1, got {days}")
-    rng = np.random.default_rng(seed)
-    cluster = SimulatedCluster(
-        ClusterConfig(num_devices=num_devices, memory_bytes=memory_bytes)
-    )
-    task = _make_production_task(
-        pool, num_devices, num_tables, memory_bytes, seed
-    )
-    search = search or REPLAY_SEARCH_CONFIG
-    neuroshard, _ = NeuroShard.pretrain(
-        cluster, pool, collection=collection, train=train, search=search,
-        seed=seed,
-    )
-    engine = ShardingEngine(cluster, neuroshard.models, search=search)
-    service = ShardingService()
-    service.create_deployment("lifecycle", engine, tables=task.tables,
-                              memory_bytes=memory_bytes)
-    record = service.plan("lifecycle")
-    if not record.feasible:
-        raise RuntimeError(
-            "day-0 plan infeasible; loosen the memory budget or reduce "
-            "num_tables"
-        )
-    service.apply("lifecycle")
-
-    config = ReshardConfig(
-        migration_budget_ms=migration_budget_ms,
-        migration_lambda=migration_lambda,
-        allow_full_search=True,
-    )
-    next_table_id = max(t.table_id for t in pool.tables) + 1
-    rows = [
-        LifecycleRow(
-            day=0,
-            num_tables=len({t.table_id for t in task.tables}),
-            cost_ms=record.simulated_cost_ms,
-            moved_mb=0.0,
-            migration_ms=0.0,
-            scratch_cost_ms=math.nan,
-            scratch_moved_mb=0.0,
-            cumulative_moved_mb=0.0,
-            cumulative_scratch_moved_mb=0.0,
-            chosen="plan",
-        )
-    ]
-    cumulative = 0.0
-    cumulative_scratch = 0.0
-    for day in range(1, days):
-        current = service.applied_record("lifecycle")
-        assert current is not None
-        sampled = pool.sample_tables(add_per_day, rng)
-        dims = rng.choice([64, 128], size=len(sampled), p=[0.3, 0.7])
-        added = tuple(
-            dataclasses.replace(t.with_dim(int(d)), table_id=next_table_id + i)
-            for i, (t, d) in enumerate(zip(sampled, dims))
-        )
-        next_table_id += len(added)
-        current_ids = sorted({t.table_id for t in current.base_tables})
-        removed = tuple(
-            int(i)
-            for i in rng.choice(
-                current_ids,
-                size=min(remove_per_day, max(len(current_ids) - 1, 0)),
-                replace=False,
-            )
-        )
-        record = service.reshard(
-            "lifecycle",
-            WorkloadDelta(add_tables=added, remove_table_ids=removed),
-            config=config,
-        )
-        if not record.feasible or record.diff is None:
-            raise RuntimeError(f"day {day} reshard infeasible")
-        moved_mb = record.diff.moved_bytes / 1e6
-        full = record.metadata.get("full_search") or {}
-        scratch_moved_mb = full.get("moved_bytes", 0) / 1e6
-        cumulative += moved_mb
-        cumulative_scratch += scratch_moved_mb
-        rows.append(
-            LifecycleRow(
-                day=day,
-                num_tables=len({t.table_id for t in record.base_tables}),
-                cost_ms=record.simulated_cost_ms,
-                moved_mb=moved_mb,
-                migration_ms=record.diff.migration_cost_ms,
-                scratch_cost_ms=full.get("simulated_cost_ms", math.nan),
-                scratch_moved_mb=scratch_moved_mb,
-                cumulative_moved_mb=cumulative,
-                cumulative_scratch_moved_mb=cumulative_scratch,
-                chosen=str(record.metadata.get("chosen", "?")),
-                within_budget=bool(record.metadata.get("within_budget", True)),
-            )
-        )
-    return rows
-
-
-def _serving_cost_ms(engine, record, traffic_multiplier: float) -> float:
-    """An applied plan's simulated cost under a traffic multiplier.
-
-    Traffic scales every table's ``pooling_factor`` (more lookups per
-    batch) before the plan is re-scored on the cost-model simulator; the
-    plan itself — and therefore the live state — is untouched.
-    """
-    tables = record.base_tables
-    if traffic_multiplier != 1.0:
-        tables = tuple(
-            dataclasses.replace(
-                t, pooling_factor=max(t.pooling_factor * traffic_multiplier, 1e-6)
-            )
-            for t in tables
-        )
-    per_device = record.plan.per_device_tables(tables)
-    return engine.simulator.plan_cost(per_device).max_cost_ms
-
-
 def replay_workload_trace(
     trace: "WorkloadTrace",
     engine: "ShardingEngine",
@@ -463,19 +257,21 @@ def replay_workload_trace(
 ) -> "ScenarioReport":
     """Replay a workload trace end-to-end through the lifecycle service.
 
-    The generalized trace-replay harness behind the scenario atlas
-    (:mod:`repro.scenarios`):
+    The per-step view of the simulator behind the scenario atlas
+    (:mod:`repro.scenarios`): the trace runs through
+    :func:`~repro.simulator.runner.simulate_policy` with the
+    ``immediate`` policy on a quiet fleet, and its report is projected
+    onto the trace's steps:
 
-    1. a deployment is created from the trace's initial workload, planned
-       and applied (report row 0);
-    2. each :class:`~repro.scenarios.trace.TraceStep` whose delta is
-       non-empty — or whose ``memory_scale`` changes the per-device
-       budget — goes through :meth:`~repro.api.service.ShardingService
-       .reshard` under ``reshard_config``; pure-traffic steps hold the
-       plan and only re-score it;
-    3. every row records the serving cost under the step's traffic
-       multiplier, the migration paid, whether the budget bound the
-       choice, and the re-shard-from-scratch counterfactual.
+    1. row 0 is the initial plan (planned and applied at t=0);
+    2. a step the simulator resharded at — a non-empty delta, or a
+       ``memory_scale`` that changes the per-device budget — carries
+       that :class:`~repro.simulator.report.ReshardDecision`: the
+       chosen candidate, the migration paid, whether the budget bound
+       the choice, and the re-shard-from-scratch counterfactual;
+    3. any other step holds the last applied plan;
+    4. every step's serving cost is the simulated cost segment covering
+       its timestamp (the applied plan under the step's traffic).
 
     An infeasible reshard keeps the previous plan serving (and the row
     reports ``feasible=False``) — the replay continues, so a scenario
@@ -501,152 +297,103 @@ def replay_workload_trace(
         The per-step :class:`~repro.scenarios.report.ScenarioReport`.
 
     Raises:
-        ValueError: when the engine has no bundle or its cluster size
-            mismatches the trace.
+        ValueError: when the engine has no bundle, its cluster size
+            mismatches the trace, or a step is at t <= 0 (the initial
+            plan goes live at t=0).
         RuntimeError: when even the initial workload has no feasible
             plan (the scenario is mis-configured).
     """
-    from repro.api import ReshardConfig, ShardingService
+    from repro.api import ReshardConfig
     from repro.scenarios.report import ScenarioReport, ScenarioStepMetrics
+    from repro.simulator import make_policy, simulate_policy
 
-    if engine.simulator is None:
-        raise ValueError(
-            "replaying a trace needs an engine with a cost-model bundle "
-            "(it scores serving costs and reshard candidates)"
-        )
-    if engine.cluster.num_devices != trace.num_devices:
-        raise ValueError(
-            f"trace {trace.name!r} targets {trace.num_devices} devices but "
-            f"the engine cluster has {engine.cluster.num_devices}"
-        )
     config = reshard_config or ReshardConfig()
     budget = config.migration_budget_ms
-    service = service or ShardingService()
-    name = deployment or trace.name
-
-    service.create_deployment(
-        name, engine, tables=trace.initial_tables,
-        memory_bytes=trace.memory_bytes,
+    sim = simulate_policy(
+        trace,
+        engine,
+        make_policy("immediate"),
+        reshard_config=config,
+        strategy=strategy,
+        service=service,
+        deployment=deployment or trace.name,
     )
-    applied = service.plan(name, strategy=strategy,
-                           request_id=f"{trace.name}-initial")
-    if not applied.feasible:
-        raise RuntimeError(
-            f"scenario {trace.name!r}: the initial workload has no feasible "
-            "plan; regenerate with a looser memory budget or fewer tables"
-        )
-    service.apply(name)
+    decisions = {d.time_hours: d for d in sim.reshards}
+    segment_starts = [s.start_hours for s in sim.segments]
 
-    def logical_tables(record) -> int:
-        return len({t.table_id for t in record.base_tables})
-
+    # A step without a reshard holds the plan: these outcome columns,
+    # and the last applied plan's tables, shards and cost.
+    outcome_hold = {
+        "feasible": True,
+        "chosen": "hold",
+        "moved_mb": 0.0,
+        "migration_ms": 0.0,
+        "within_budget": True,
+        "scratch_cost_ms": math.nan,
+        "scratch_moved_mb": 0.0,
+        "scratch_migration_ms": math.nan,
+    }
+    plan = {
+        "num_tables": sim.initial_tables,
+        "num_shards": sim.initial_shards,
+        "plan_cost_ms": sim.initial_cost_ms,
+    }
     rows = [
         ScenarioStepMetrics(
             step=0,
             timestamp=0.0,
             label="initial",
             resharded=False,
-            feasible=True,
-            chosen="plan",
-            num_tables=logical_tables(applied),
-            num_shards=len(applied.plan.assignment),
             traffic_multiplier=1.0,
             memory_bytes=trace.memory_bytes,
-            plan_cost_ms=applied.simulated_cost_ms,
-            serving_cost_ms=applied.simulated_cost_ms,
-            moved_mb=0.0,
-            migration_ms=0.0,
-            within_budget=True,
+            serving_cost_ms=sim.initial_cost_ms,
             budget_bound=False,
-            scratch_cost_ms=math.nan,
-            scratch_moved_mb=0.0,
-            scratch_migration_ms=math.nan,
             cumulative_moved_mb=0.0,
             cumulative_scratch_moved_mb=0.0,
+            **{**outcome_hold, "chosen": "plan"},
+            **plan,
         )
     ]
-
-    current_memory = trace.memory_bytes
     cumulative = 0.0
     cumulative_scratch = 0.0
     for i, step in enumerate(trace.steps, start=1):
-        step_memory = int(round(trace.memory_bytes * step.memory_scale))
-        memory_changed = step_memory != current_memory
-        resharded = not step.delta.is_empty or memory_changed
-
-        feasible = True
-        chosen = "hold"
-        moved_mb = 0.0
-        migration_ms = 0.0
-        within_budget = True
+        decision = decisions.get(step.timestamp)
+        outcome = outcome_hold
         budget_bound = False
-        scratch_cost = math.nan
-        scratch_moved = 0.0
-        scratch_migration = math.nan
-
-        if resharded:
-            record = service.reshard(
-                name,
-                step.delta,
-                config=config,
-                strategy=strategy,
-                request_id=f"{trace.name}-step{i}",
-                memory_bytes=step_memory if memory_changed else None,
-            )
-            current_memory = step_memory
-            feasible = record.feasible
-            chosen = str(record.metadata.get("chosen", "?"))
-            full = record.metadata.get("full_search") or {}
-            if full:
-                scratch_cost = float(full.get("simulated_cost_ms", math.nan))
-                scratch_moved = full.get("moved_bytes", 0) / 1e6
-                scratch_migration = float(
-                    full.get("migration_cost_ms", math.nan)
-                )
-            if record.feasible and record.diff is not None:
-                moved_mb = record.diff.moved_bytes / 1e6
-                migration_ms = record.diff.migration_cost_ms
-                within_budget = bool(
-                    record.metadata.get("within_budget", True)
-                )
-                budget_bound = budget is not None and (
-                    not within_budget
+        if decision is not None:
+            outcome = {key: getattr(decision, key) for key in outcome_hold}
+            plan = {key: getattr(decision, key) for key in plan}
+            scratch_migration = decision.scratch_migration_ms
+            budget_bound = (
+                budget is not None
+                and decision.feasible
+                and (
+                    not decision.within_budget
                     or (
                         math.isfinite(scratch_migration)
                         and scratch_migration > budget
                     )
                 )
-            else:
-                within_budget = False
-            applied = service.applied_record(name)
-            assert applied is not None and applied.plan is not None
-
-        serving = _serving_cost_ms(engine, applied, step.traffic_multiplier)
-        cumulative += moved_mb
-        cumulative_scratch += scratch_moved
+            )
+        segment = sim.segments[
+            bisect.bisect_right(segment_starts, step.timestamp) - 1
+        ]
+        cumulative += outcome["moved_mb"]
+        cumulative_scratch += outcome["scratch_moved_mb"]
         rows.append(
             ScenarioStepMetrics(
                 step=i,
                 timestamp=step.timestamp,
                 label=step.label,
-                resharded=resharded,
-                feasible=feasible,
-                chosen=chosen,
-                num_tables=logical_tables(applied),
-                num_shards=len(applied.plan.assignment),
+                resharded=decision is not None,
                 traffic_multiplier=step.traffic_multiplier,
-                memory_bytes=step_memory,
-                plan_cost_ms=applied.simulated_cost_ms,
-                serving_cost_ms=serving,
-                moved_mb=moved_mb,
-                migration_ms=migration_ms,
-                within_budget=within_budget,
+                memory_bytes=int(round(trace.memory_bytes * step.memory_scale)),
+                serving_cost_ms=segment.serving_cost_ms,
                 budget_bound=budget_bound,
-                scratch_cost_ms=scratch_cost,
-                scratch_moved_mb=scratch_moved,
-                scratch_migration_ms=scratch_migration,
                 cumulative_moved_mb=cumulative,
                 cumulative_scratch_moved_mb=cumulative_scratch,
+                **outcome,
+                **plan,
             )
         )
 

@@ -76,7 +76,8 @@ class TraceStep:
     Attributes:
         timestamp: monotone position of the step (hours, days, or plain
             step index — the unit is the scenario's to choose; replay
-            only requires it to increase).
+            requires it to increase and to be > 0, since the initial
+            plan goes live at t=0).
         delta: tables added / removed / updated at this step (empty
             deltas are legal: a pure traffic or capacity change).
         traffic_multiplier: factor applied to every table's

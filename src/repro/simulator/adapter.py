@@ -8,18 +8,18 @@ trace into the simulator's native currency — typed
 doubles as a traffic/workload arrival process without regeneration.
 
 One :class:`~repro.scenarios.trace.TraceStep` becomes up to three events
-at the step's timestamp, pushed in the order the replay harness applies
-them (the clock keeps ties in push order):
+at the step's timestamp, pushed in the order a step takes effect (the
+clock keeps ties in push order):
 
 1. ``MEMORY`` when ``memory_scale`` differs from the running scale —
    capacity changes precede the reshard decision;
 2. ``WORKLOAD_DELTA`` when the delta is non-empty;
 3. ``TRAFFIC`` when the multiplier changes — scoring overlays come last.
 
-Replayed through the simulator with the ``immediate`` policy and a quiet
-fleet, the resulting stream reproduces
-:func:`~repro.evaluation.production.replay_workload_trace` decision for
-decision (the property suite pins this).
+Run through the simulator with the ``immediate`` policy and a quiet
+fleet, the resulting stream *is* the scenario replay:
+:func:`~repro.evaluation.production.replay_workload_trace` projects that
+run onto the trace's steps.
 """
 
 from __future__ import annotations

@@ -168,9 +168,10 @@ class EventClock:
 
         A trace step schedules its memory change, workload delta and
         traffic change at one timestamp; the simulation applies the whole
-        batch before consulting the policy — exactly like one
-        :class:`~repro.scenarios.trace.TraceStep` in
-        :func:`~repro.evaluation.production.replay_workload_trace`.
+        batch before consulting the policy, so one
+        :class:`~repro.scenarios.trace.TraceStep` is one decision point
+        (one row of :func:`~repro.evaluation.production
+        .replay_workload_trace`).
         """
         batch = [self.pop()]
         while self._heap and self._heap[0][0] == self._now:

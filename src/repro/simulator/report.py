@@ -138,6 +138,9 @@ class ReshardDecision:
         feasible: the service found an applicable plan.
         chosen: ``"incremental"`` / ``"full"`` / ``"none"``.
         num_tables: logical tables after the reshard.
+        num_shards: physical shards the applied plan places afterwards.
+        plan_cost_ms: the applied plan's recorded simulated cost after
+            the reshard (the previous plan's when it was infeasible).
         moved_mb: megabytes of surviving shards moved.
         migration_ms: priced migration wall-clock.
         within_budget: the migration respected the budget.
@@ -145,6 +148,10 @@ class ReshardDecision:
             traffic, immediately before and after the plan change.
         batched_deltas: how many trace deltas the reshard absorbed at
             once (1 for the immediate policy; more for lazy policies).
+        scratch_cost_ms / scratch_moved_mb / scratch_migration_ms: the
+            re-shard-from-scratch counterfactual evaluated from the same
+            applied state (``nan``/0 when not evaluated), filled even
+            when the reshard was infeasible.
     """
 
     time_hours: float
@@ -152,12 +159,17 @@ class ReshardDecision:
     feasible: bool
     chosen: str
     num_tables: int
+    num_shards: int
+    plan_cost_ms: float
     moved_mb: float
     migration_ms: float
     within_budget: bool
     cost_before_ms: float
     cost_after_ms: float
     batched_deltas: int
+    scratch_cost_ms: float
+    scratch_moved_mb: float
+    scratch_migration_ms: float
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a versioned, JSON-compatible dictionary."""
@@ -168,12 +180,17 @@ class ReshardDecision:
             "feasible": bool(self.feasible),
             "chosen": self.chosen,
             "num_tables": int(self.num_tables),
+            "num_shards": int(self.num_shards),
+            "plan_cost_ms": _to_finite(self.plan_cost_ms),
             "moved_mb": float(self.moved_mb),
             "migration_ms": float(self.migration_ms),
             "within_budget": bool(self.within_budget),
             "cost_before_ms": _to_finite(self.cost_before_ms),
             "cost_after_ms": _to_finite(self.cost_after_ms),
             "batched_deltas": int(self.batched_deltas),
+            "scratch_cost_ms": _to_finite(self.scratch_cost_ms),
+            "scratch_moved_mb": float(self.scratch_moved_mb),
+            "scratch_migration_ms": _to_finite(self.scratch_migration_ms),
         }
 
     @classmethod
@@ -186,12 +203,17 @@ class ReshardDecision:
             feasible=bool(data["feasible"]),
             chosen=str(data["chosen"]),
             num_tables=int(data["num_tables"]),
+            num_shards=int(data["num_shards"]),
+            plan_cost_ms=_from_finite(data["plan_cost_ms"]),
             moved_mb=float(data["moved_mb"]),
             migration_ms=float(data["migration_ms"]),
             within_budget=bool(data["within_budget"]),
             cost_before_ms=_from_finite(data.get("cost_before_ms")),
             cost_after_ms=_from_finite(data.get("cost_after_ms")),
             batched_deltas=int(data.get("batched_deltas", 1)),
+            scratch_cost_ms=_from_finite(data["scratch_cost_ms"]),
+            scratch_moved_mb=float(data["scratch_moved_mb"]),
+            scratch_migration_ms=_from_finite(data["scratch_migration_ms"]),
         )
 
 
@@ -215,6 +237,9 @@ class SimulationReport:
         reshards: every reshard decision, time-ascending.
         num_events: events the simulation processed.
         final_tables: logical tables at the horizon.
+        initial_cost_ms / initial_shards / initial_tables: the t=0
+            plan's recorded simulated cost, physical shards and logical
+            tables.
     """
 
     scenario: str
@@ -232,6 +257,9 @@ class SimulationReport:
     reshards: tuple[ReshardDecision, ...]
     num_events: int
     final_tables: int
+    initial_cost_ms: float
+    initial_shards: int
+    initial_tables: int
 
     # ------------------------------------------------------------------
     # aggregates
@@ -323,6 +351,9 @@ class SimulationReport:
             "reshards": [r.to_dict() for r in self.reshards],
             "num_events": int(self.num_events),
             "final_tables": int(self.final_tables),
+            "initial_cost_ms": _to_finite(self.initial_cost_ms),
+            "initial_shards": int(self.initial_shards),
+            "initial_tables": int(self.initial_tables),
         }
 
     @classmethod
@@ -349,6 +380,9 @@ class SimulationReport:
             ),
             num_events=int(data.get("num_events", 0)),
             final_tables=int(data.get("final_tables", 0)),
+            initial_cost_ms=_from_finite(data["initial_cost_ms"]),
+            initial_shards=int(data["initial_shards"]),
+            initial_tables=int(data["initial_tables"]),
         )
 
     def summary(self) -> dict[str, Any]:

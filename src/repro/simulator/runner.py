@@ -18,16 +18,18 @@ over a live, in-memory :class:`~repro.api.service.ShardingService`:
    something is pending, the merged pending delta goes through
    :meth:`~repro.api.service.ShardingService.reshard` under the
    migration budget (validated like any other lifecycle reshard).  An
-   infeasible reshard drops the batch — exactly like a replayed trace
-   step — and the previous plan keeps serving.
+   infeasible reshard drops the batch and the previous plan keeps
+   serving.
 5. The serving cost between batches is one constant
    :class:`~repro.simulator.report.CostSegment`; the report integrates
    them into time-weighted mean/p99 cost, SLO violation-minutes and
    migrated MB per simulated day.
 
-With the ``immediate`` policy and a quiet fleet the loop reproduces
-:func:`~repro.evaluation.production.replay_workload_trace` decision for
-decision — the anchor the property suite pins the semantics to.
+With the ``immediate`` policy and a quiet fleet this loop *is* the
+scenario replay: :func:`~repro.evaluation.production.replay_workload_trace`
+runs it and projects the report onto the trace's steps, so this is the
+only loop that drives :meth:`~repro.api.service.ShardingService.reshard`
+from a workload.
 
 Everything is deterministic: costs come from the cost-model simulator,
 event times from seeded processes, and no wall clock is ever read.
@@ -64,7 +66,7 @@ from repro.simulator.report import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.api import cycle)
-    from repro.api import ReshardConfig, ShardingEngine
+    from repro.api import ReshardConfig, ShardingEngine, ShardingService
     from repro.api.reshard import WorkloadDelta
 
 __all__ = ["SimulationConfig", "merge_deltas", "simulate_policy"]
@@ -198,9 +200,10 @@ def _serving_cost_overlaid(
 
     The applied placement is scored with pending stats updates and
     removals overlaid (the hardware already feels them), the traffic
-    multiplier applied exactly as in :func:`~repro.evaluation.production
-    ._serving_cost_ms`, and each device's share scaled by its straggler
-    factor (down devices by ``down_penalty`` on top).
+    multiplier scaling every shard's ``pooling_factor`` (column halves
+    keep their parent's, so with nothing overlaid this equals scoring
+    the scaled tables before placement), and each device's share scaled
+    by its straggler factor (down devices by ``down_penalty`` on top).
     """
     per_device = record.plan.per_device_tables(record.base_tables)
     overlaid: list[list[Any]] = []
@@ -337,7 +340,7 @@ def simulate_policy(
             "plan; regenerate with a looser memory budget or fewer tables"
         )
     service.apply(name)
-    applied = service.applied_record(name)
+    applied = initial = service.applied_record(name)
     assert applied is not None
 
     slo_ms = config.slo_cost_ms or config.slo_factor * applied.simulated_cost_ms
@@ -364,8 +367,9 @@ def simulate_policy(
 
     def merged_pending():
         # A lone pending delta passes through verbatim: the incremental
-        # search is order-sensitive, and an untouched delta keeps the
-        # immediate policy decision-identical to a trace replay.
+        # search is order-sensitive, and the immediate policy (the
+        # scenario replay) must reshard each trace step's delta as
+        # written.
         if len(pending_deltas) == 1:
             return pending_deltas[0]
         return merge_deltas(pending_deltas, base_ids())
@@ -498,7 +502,7 @@ def simulate_policy(
             if pending_memory is not None:
                 current_memory = pending_memory
             # Consumed either way: an infeasible reshard drops the batch
-            # (the previous plan keeps serving), like a replayed step.
+            # (the previous plan keeps serving).
             pending_deltas.clear()
             pending_memory = None
             pending_drift = None
@@ -508,6 +512,8 @@ def simulate_policy(
             cost = current_cost()
             baseline = cost
             last_reshard_time = now
+            landed = record.feasible and record.diff is not None
+            full = record.metadata.get("full_search") or {}
             reshards.append(
                 ReshardDecision(
                     time_hours=now,
@@ -515,29 +521,29 @@ def simulate_policy(
                     feasible=record.feasible,
                     chosen=str(record.metadata.get("chosen", "?")),
                     num_tables=len(base_ids()),
-                    moved_mb=(
-                        record.diff.moved_bytes / 1e6
-                        if record.feasible and record.diff is not None
-                        else 0.0
-                    ),
+                    num_shards=len(applied.plan.assignment),
+                    plan_cost_ms=applied.simulated_cost_ms,
+                    moved_mb=record.diff.moved_bytes / 1e6 if landed else 0.0,
                     migration_ms=(
-                        record.diff.migration_cost_ms
-                        if record.feasible and record.diff is not None
-                        else 0.0
+                        record.diff.migration_cost_ms if landed else 0.0
                     ),
-                    within_budget=bool(
-                        record.metadata.get("within_budget", True)
-                    )
-                    if record.feasible
-                    else False,
+                    within_budget=landed
+                    and bool(record.metadata.get("within_budget", True)),
                     cost_before_ms=cost_before,
                     cost_after_ms=cost,
                     batched_deltas=len(delta.add_tables)
                     + len(delta.remove_table_ids)
                     + len(delta.update_stats)
                     + (1 if obs.pending_memory_change else 0),
-                    )
+                    scratch_cost_ms=float(
+                        full.get("simulated_cost_ms", math.nan)
+                    ),
+                    scratch_moved_mb=full.get("moved_bytes", 0) / 1e6,
+                    scratch_migration_ms=float(
+                        full.get("migration_cost_ms", math.nan)
+                    ),
                 )
+            )
             policy.notify_reshard(obs)
 
     close_segment(horizon)
@@ -558,6 +564,9 @@ def simulate_policy(
         reshards=tuple(reshards),
         num_events=num_events,
         final_tables=len({t.table_id for t in applied.base_tables}),
+        initial_cost_ms=initial.simulated_cost_ms,
+        initial_shards=len(initial.plan.assignment),
+        initial_tables=len({t.table_id for t in initial.base_tables}),
     )
 
 

@@ -1,14 +1,8 @@
 """Tests for the production-experiment helpers."""
 
-import math
-
 import pytest
 
-from repro.config import SearchConfig
-from repro.evaluation.production import (
-    _make_production_task,
-    run_lifecycle_experiment,
-)
+from repro.evaluation.production import _make_production_task
 
 
 class TestMakeProductionTask:
@@ -43,60 +37,3 @@ class TestMakeProductionTask:
                 small_pool, num_devices=1, num_tables=5, memory_bytes=1, seed=0
             )
 
-
-class TestLifecycleExperiment:
-    BUDGET_MS = 50.0
-
-    @pytest.fixture(scope="class")
-    def rows(self, small_pool, tiny_collection, tiny_train):
-        return run_lifecycle_experiment(
-            small_pool,
-            num_devices=2,
-            num_tables=12,
-            days=3,
-            add_per_day=2,
-            remove_per_day=1,
-            migration_budget_ms=self.BUDGET_MS,
-            migration_lambda=0.01,
-            collection=tiny_collection,
-            train=tiny_train,
-            search=SearchConfig(top_n=2, beam_width=2, max_steps=3,
-                                grid_points=3),
-            seed=3,
-        )
-
-    def test_day_sequence_shape(self, rows):
-        assert [r.day for r in rows] == [0, 1, 2]
-        assert rows[0].chosen == "plan"
-        assert rows[0].moved_mb == 0.0
-        assert all(r.num_tables >= 1 for r in rows)
-        assert all(math.isfinite(r.cost_ms) for r in rows)
-
-    def test_scratch_candidate_reported_each_reshard_day(self, rows):
-        for row in rows[1:]:
-            assert math.isfinite(row.scratch_cost_ms)
-            assert row.chosen in ("incremental", "full")
-
-    def test_cumulative_columns_are_running_sums(self, rows):
-        moved = 0.0
-        scratch = 0.0
-        for row in rows[1:]:
-            moved += row.moved_mb
-            scratch += row.scratch_moved_mb
-            assert row.cumulative_moved_mb == pytest.approx(moved)
-            assert row.cumulative_scratch_moved_mb == pytest.approx(scratch)
-
-    def test_migration_budget_binds_every_reshard_day(self, rows):
-        # The whole point of the budgeted lifecycle: whatever the
-        # from-scratch candidate would migrate, the applied plan's
-        # day-over-day migration stays within the operator's budget —
-        # and a day where no candidate could fit is flagged, not hidden.
-        for row in rows[1:]:
-            if row.within_budget:
-                assert row.migration_ms <= self.BUDGET_MS + 1e-9
-        # For this parameterization the budget is satisfiable every day.
-        assert all(row.within_budget for row in rows)
-
-    def test_rejects_bad_days(self, small_pool):
-        with pytest.raises(ValueError, match="days"):
-            run_lifecycle_experiment(small_pool, days=0)

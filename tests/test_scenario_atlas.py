@@ -303,6 +303,50 @@ class TestReplay:
                 # More lookups on the same plan cannot get cheaper.
                 assert s.serving_cost_ms > s.plan_cost_ms
 
+    def test_cumulative_columns_are_running_sums(self, crowd_report):
+        _, report = crowd_report
+        moved = 0.0
+        scratch = 0.0
+        for s in report.steps:
+            moved += s.moved_mb
+            scratch += s.scratch_moved_mb
+            assert s.cumulative_moved_mb == pytest.approx(moved)
+            assert s.cumulative_scratch_moved_mb == pytest.approx(scratch)
+
+    def test_migration_budget_binds_every_in_budget_step(self, crowd_report):
+        # Whatever the from-scratch candidate would migrate, a step
+        # flagged within budget migrated no more than the budget; a step
+        # where no candidate fit is flagged, not hidden.
+        _, report = crowd_report
+        budget = report.reshard_config["migration_budget_ms"]
+        assert budget == 2_000.0
+        assert any(s.resharded for s in report.steps)
+        for s in report.steps:
+            if s.within_budget:
+                assert s.migration_ms <= budget + 1e-9
+
+    def test_scratch_candidate_reported_each_feasible_reshard(
+        self, crowd_report
+    ):
+        _, report = crowd_report
+        resharded = [s for s in report.steps if s.resharded and s.feasible]
+        assert resharded
+        for s in resharded:
+            assert math.isfinite(s.scratch_cost_ms)
+            assert math.isfinite(s.scratch_migration_ms)
+            assert s.chosen in ("incremental", "full")
+
+    def test_step_at_or_before_the_epoch_rejected(self, small_pool, engine2):
+        # The initial plan goes live at t=0, so every step must follow it.
+        trace = small_trace(small_pool, "flash_crowd")
+        for timestamp in (0.0, -1.0):
+            early = trace.with_steps(
+                [dataclasses.replace(trace.steps[0], timestamp=timestamp),
+                 *trace.steps[1:]]
+            )
+            with pytest.raises(ValueError, match=f"t={timestamp}"):
+                replay_workload_trace(early, engine2)
+
     def test_replay_metrics_deterministic(
         self, small_pool, cluster2, tiny_bundle, crowd_report
     ):

@@ -1,4 +1,4 @@
-"""Hypothesis metamorphic properties of the scenario replay harness.
+"""Hypothesis metamorphic properties of the scenario replay.
 
 Two laws of :mod:`repro.scenarios` + :func:`repro.evaluation.production
 .replay_workload_trace`:

@@ -389,13 +389,44 @@ class TestReportArithmetic:
         ) == segment
 
     def test_reshard_decision_round_trip(self):
+        import math
+
         decision = ReshardDecision(
             time_hours=4.0, reason="window (6h)", feasible=True,
-            chosen="incremental", num_tables=12, moved_mb=34.5,
-            migration_ms=12.0, within_budget=True, cost_before_ms=30.0,
-            cost_after_ms=25.0, batched_deltas=3,
+            chosen="incremental", num_tables=12, num_shards=15,
+            plan_cost_ms=24.5, moved_mb=34.5, migration_ms=12.0,
+            within_budget=True, cost_before_ms=30.0, cost_after_ms=25.0,
+            batched_deltas=3, scratch_cost_ms=23.75, scratch_moved_mb=410.0,
+            scratch_migration_ms=180.5,
         )
         assert ReshardDecision.from_dict(decision.to_dict()) == decision
+        # An infeasible reshard still carries its scratch counterfactual;
+        # a candidate that was never evaluated is nan, stored as null.
+        dropped = dataclasses.replace(
+            decision, time_hours=6.0, feasible=False, chosen="none",
+            moved_mb=0.0, migration_ms=0.0, within_budget=False,
+            scratch_cost_ms=math.nan, scratch_moved_mb=0.0,
+            scratch_migration_ms=math.nan,
+        )
+        wire = json.loads(json.dumps(dropped.to_dict()))
+        assert wire["scratch_cost_ms"] is None
+        assert wire["scratch_migration_ms"] is None
+        restored = ReshardDecision.from_dict(wire)
+        assert math.isnan(restored.scratch_cost_ms)
+        assert math.isnan(restored.scratch_migration_ms)
+        assert restored.num_shards == 15 and restored.plan_cost_ms == 24.5
+
+        report = SimulationReport(
+            scenario="table_churn", policy="periodic", policy_kwargs={},
+            seed=1, sim_seed=0, num_devices=2, memory_bytes=1024,
+            horizon_hours=8.0, slo_ms=40.0, strategy=None,
+            reshard_config={}, segments=(self._segment(0, 8.0, 25.0),),
+            reshards=(decision,), num_events=3, final_tables=12,
+            initial_cost_ms=26.25, initial_shards=14, initial_tables=11,
+        )
+        assert SimulationReport.from_dict(
+            json.loads(json.dumps(report.to_dict()))
+        ) == report
 
     def test_wrong_schema_version_rejected(self):
         data = self._segment(0, 1.0, 1.0).to_dict()

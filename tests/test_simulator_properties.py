@@ -9,11 +9,13 @@ Three laws of :mod:`repro.simulator`:
 2. **Seed determinism** — one ``(trace, policy, sim_seed)`` triple
    yields a byte-identical :class:`~repro.simulator.report
    .SimulationReport` JSON on every run, machine processes included.
-3. **Replay equivalence** — a pure atlas trace (quiet fleet) driven
-   through :func:`~repro.simulator.runner.simulate_policy` with the
-   ``immediate`` policy reproduces :func:`~repro.evaluation.production
-   .replay_workload_trace` decision for decision: same reshard
-   outcomes, same moved bytes, same serving cost after every step.
+3. **Replay projection** — :func:`~repro.evaluation.production
+   .replay_workload_trace` is the ``immediate``-policy, quiet-fleet run
+   of :func:`~repro.simulator.runner.simulate_policy` projected onto the
+   trace's steps; for every atlas regime its rows agree with a direct
+   simulation decision for decision: same reshard outcomes, moved bytes,
+   applied-plan and from-scratch columns, and serving cost after every
+   step.
 
 Like ``test_scenario_properties.py``, the engine quantifies over the
 *harness* with a hand-built linear bundle — deterministic and
@@ -204,7 +206,7 @@ def test_different_fleet_seeds_differ(engine, small_pool):
 
 
 # ----------------------------------------------------------------------
-# 3. replay equivalence (the adapter's contract)
+# 3. replay projection (the adapter's contract)
 # ----------------------------------------------------------------------
 
 
@@ -234,6 +236,19 @@ def test_immediate_policy_on_quiet_fleet_matches_replay(
         assert decision.moved_mb == pytest.approx(step.moved_mb)
         assert decision.migration_ms == pytest.approx(step.migration_ms)
         assert decision.within_budget == step.within_budget
+        # The applied plan after the step and the from-scratch
+        # counterfactual, both read off the same reshard record.
+        assert decision.plan_cost_ms == step.plan_cost_ms
+        assert decision.num_shards == step.num_shards
+        assert decision.num_tables == step.num_tables
+        for column in (
+            "scratch_cost_ms", "scratch_moved_mb", "scratch_migration_ms"
+        ):
+            assert getattr(decision, column) == pytest.approx(
+                getattr(step, column), nan_ok=True
+            )
+    assert sim.initial_cost_ms == replay.steps[0].plan_cost_ms
+    assert sim.initial_shards == replay.steps[0].num_shards
     assert sim.total_moved_mb == pytest.approx(
         replay.steps[-1].cumulative_moved_mb
     )
